@@ -2,9 +2,10 @@
 
 Subcommands: density, support, verify, scaling, selftest.  Every run is
 driven by an explicit JSON config (no environment overrides); unknown
-config keys are fatal.  Exit codes are a stable contract: 0 ok, 2 config
-error, 3 numerical failure, 4 verification failure, 5 statistically
-inconclusive.
+config keys are fatal.  density and support draw nothing at random: they
+accept a ``seed`` key and ignore it.  Exit codes are a stable contract:
+0 ok, 2 config error, 3 numerical failure, 4 verification failure,
+5 statistically inconclusive.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import algebra, sampler, spectrum
 from .errors import ConfigError, GapViolation, SignalBelowNoise, SpecgapError
+from .formats import fmt, write_json as _write_json
 from .model import ensemble_from_config
 
 EXIT_OK = 0
@@ -25,10 +27,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 EXIT_INCONCLUSIVE = 5
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _load_config(path) -> dict:
@@ -71,12 +69,6 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def cmd_density(args) -> int:
     cfg = _load_config(args.config)
     _take(cfg, {"ensemble", "grid", "y", "tol", "max_iter", "seed"}, "density")
@@ -101,7 +93,7 @@ def cmd_density(args) -> int:
         "mass": curve.mass,
         "solver": curve.diagnostics,
     })
-    print(f"density: {len(curve.xs)} points, mass {_fmt(curve.mass)}")
+    print(f"density: {len(curve.xs)} points, mass {fmt(curve.mass)}")
     return EXIT_OK
 
 
@@ -120,16 +112,13 @@ def _support_kwargs(cfg: dict, where: str) -> dict:
 
 def cmd_support(args) -> int:
     cfg = _load_config(args.config)
-    _take(cfg, {"ensemble", "x_hi", "steps", "y", "threshold", "solver_tol", "seed"},
-          "support")
-    ens = ensemble_from_config(_require(cfg, "ensemble", "support"))
-    kw = _support_kwargs({k: cfg[k] for k in cfg
-                          if k in {"x_hi", "steps", "y", "threshold", "solver_tol"}},
+    kw = _support_kwargs({k: v for k, v in cfg.items() if k not in ("ensemble", "seed")},
                          "support")
+    ens = ensemble_from_config(_require(cfg, "ensemble", "support"))
     report = spectrum.detect_support(ens, workers=args.workers, **kw)
     out = _outdir(args)
     spectrum.write_support_json(report, out / "support.json")
-    print(_fmt(report.epsilon_at_zero))
+    print(fmt(report.epsilon_at_zero))
     return EXIT_OK
 
 
@@ -163,7 +152,7 @@ def cmd_verify(args) -> int:
         "trials": trials,
         "seed": seed,
     })
-    print(f"epsilon_hat {_fmt(eps)} min_lambda_min {_fmt(min_lam)} "
+    print(f"epsilon_hat {fmt(eps)} min_lambda_min {fmt(min_lam)} "
           f"violations {violations}")
     if violations:
         raise GapViolation(
@@ -235,9 +224,9 @@ def cmd_scaling(args) -> int:
     with open(out / "scaling.csv", "w") as fh:
         fh.write("N,bias,stderr\n")
         for N, b, s in zip(report.Ns, report.values, report.stderrs):
-            fh.write(f"{N},{_fmt(b)},{_fmt(s)}\n")
+            fh.write(f"{N},{fmt(b)},{fmt(s)}\n")
     _write_json(out / "scaling.json", payload)
-    print(f"slope {_fmt(report.slope)} (threshold {_fmt(slope_threshold)})")
+    print(f"slope {fmt(report.slope)} (threshold {fmt(slope_threshold)})")
     return EXIT_OK if report.slope <= slope_threshold else EXIT_VERIFY
 
 

@@ -5,6 +5,11 @@ matrix whose i-th column is Theta_i g_i with g_i standard complex Gaussian
 and Omega_i = Theta_i Theta_i^*.  Admissible ensembles have 0 < N < n,
 every Omega_i Hermitian positive definite, and eigenvalues bounded away
 from 0 and infinity uniformly over columns.
+
+Columns with byte-identical covariances form a group.  An ensemble is
+stored as its G distinct covariances and the column -> group index, so a
+structured ensemble with G << n distinct covariances costs G matrices,
+not n; the (n, N, N) stack is built only when asked for.
 """
 
 from __future__ import annotations
@@ -66,21 +71,26 @@ def _check_hermitian(omega, what="matrix", index=None):
 
 @dataclass(frozen=True)
 class CorrelationEnsemble:
-    """Immutable bundle of per-column covariances.
+    """Immutable bundle of per-column covariances, stored by distinct covariance.
 
-    ``omegas`` is a read-only (n, N, N) array.  Square roots and the
-    grouping of identical columns are computed lazily and cached, so a
-    constructed ensemble is safe to share across workers.
+    ``group_omegas`` is a read-only (G, N, N) array of the distinct
+    covariances, ordered by the first column that uses each, and
+    ``group_index`` the read-only length-n map from column to group.  Square
+    roots, eigendecompositions and the full stack are computed lazily and
+    cached, so a constructed ensemble is safe to share across workers.
     """
 
-    N: int
-    n: int
-    omegas: np.ndarray
+    group_omegas: np.ndarray
+    group_index: np.ndarray
     w_min: float
     w_max: float
+    N: int = field(init=False)
+    n: int = field(init=False)
     c: float = field(init=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "N", self.group_omegas.shape[1])
+        object.__setattr__(self, "n", len(self.group_index))
         object.__setattr__(self, "c", self.N / self.n)
 
     @cached_property
@@ -91,52 +101,24 @@ class CorrelationEnsemble:
         return out
 
     @cached_property
-    def thetas(self) -> np.ndarray:
-        """(n, N, N) stack of Hermitian square roots, one per column."""
-        out = np.ascontiguousarray(self.group_thetas[self.group_index])
+    def omegas(self) -> np.ndarray:
+        """(n, N, N) read-only stack with one covariance per column."""
+        out = np.ascontiguousarray(self.group_omegas[self.group_index])
         out.setflags(write=False)
         return out
 
-    # Columns with byte-identical covariances share one fixed-point unknown;
-    # grouping them collapses the iteration from n coordinates to G <= n
-    # without changing any result (the iteration preserves the symmetry).
     @cached_property
-    def _grouping(self):
-        index_of = {}
-        group_index = np.empty(self.n, dtype=np.intp)
-        reps = []
-        for i in range(self.n):
-            key = self.omegas[i].tobytes()
-            g = index_of.get(key)
-            if g is None:
-                g = len(reps)
-                index_of[key] = g
-                reps.append(i)
-            group_index[i] = g
-        group_omegas = np.ascontiguousarray(self.omegas[reps])
-        group_omegas.setflags(write=False)
-        mult = np.bincount(group_index, minlength=len(reps)).astype(float)
-        group_index.setflags(write=False)
-        mult.setflags(write=False)
-        return group_omegas, mult, group_index
-
-    @property
-    def group_omegas(self) -> np.ndarray:
-        return self._grouping[0]
-
-    @property
     def group_mult(self) -> np.ndarray:
-        return self._grouping[1]
-
-    @property
-    def group_index(self) -> np.ndarray:
-        return self._grouping[2]
+        """Number of columns in each group, as floats."""
+        mult = np.bincount(self.group_index, minlength=len(self.group_omegas)).astype(float)
+        mult.setflags(write=False)
+        return mult
 
     @cached_property
     def group_eigh(self):
         """Eigendecompositions of the distinct covariances (ascending)."""
         evals = np.empty((len(self.group_mult), self.N))
-        evecs = np.empty((len(self.group_mult), self.N, self.N), dtype=self.omegas.dtype)
+        evecs = np.empty((len(self.group_mult), self.N, self.N), dtype=self.group_omegas.dtype)
         for g, om in enumerate(self.group_omegas):
             evals[g], evecs[g] = np.linalg.eigh(om)
         evals.setflags(write=False)
@@ -150,16 +132,12 @@ class CorrelationEnsemble:
                 for g in range(len(self.group_mult))]
 
     @cached_property
-    def group_omegas_flat(self) -> np.ndarray:
-        """(G, N*N) row-major flattening used by the solver's trace sweeps."""
-        flat = self.group_omegas.reshape(len(self.group_omegas), -1).copy()
-        flat.setflags(write=False)
-        return flat
-
-    @cached_property
     def ensemble_id(self) -> str:
+        """Digest of the per-column stack's bytes, hashed one column at a time."""
         h = hashlib.sha1()
-        h.update(np.ascontiguousarray(self.omegas).tobytes())
+        group_bytes = [om.tobytes() for om in self.group_omegas]
+        for g in self.group_index:
+            h.update(group_bytes[g])
         return h.hexdigest()[:12]
 
     def expand(self, group_values: np.ndarray) -> np.ndarray:
@@ -167,23 +145,47 @@ class CorrelationEnsemble:
         return np.asarray(group_values)[self.group_index]
 
 
+def _from_candidates(candidates, column_candidate,
+                     w_min_tol: float = WMIN_TOLERANCE) -> CorrelationEnsemble:
+    """Build and validate an ensemble from candidate covariances.
+
+    Column i has covariance ``candidates[column_candidate[i]]``, and every
+    candidate must be used by some column.  Byte-identical candidates merge
+    into one group, since columns with equal covariances share one
+    fixed-point unknown; groups are ordered by their first column.
+    """
+    N, n = candidates.shape[1], len(column_candidate)
+    if not 0 < N < n:
+        raise DimensionError(f"require 0 < N < n, got N={N}, n={n}")
+    if np.iscomplexobj(candidates) and not np.any(candidates.imag):
+        candidates = candidates.real
+    _, first_column = np.unique(column_candidate, return_index=True)
+    group_of = np.empty(len(candidates), dtype=np.intp)
+    group_of_bytes = {}
+    reps = []
+    for k in np.argsort(first_column):
+        g = group_of_bytes.setdefault(candidates[k].tobytes(), len(reps))
+        if g == len(reps):
+            reps.append(k)
+        group_of[k] = g
+    group_omegas = np.ascontiguousarray(candidates[reps])
+    group_index = group_of[column_candidate]
+    group_omegas.setflags(write=False)
+    group_index.setflags(write=False)
+    ens = CorrelationEnsemble(group_omegas=group_omegas, group_index=group_index,
+                              w_min=np.nan, w_max=np.nan)
+    w_min, w_max = validate(ens, w_min_tol=w_min_tol)
+    object.__setattr__(ens, "w_min", w_min)
+    object.__setattr__(ens, "w_max", w_max)
+    return ens
+
+
 def from_matrices(omegas, w_min_tol: float = WMIN_TOLERANCE) -> CorrelationEnsemble:
     """Build and validate an ensemble from n covariance matrices."""
     omegas = np.asarray(omegas)
     if omegas.ndim != 3 or omegas.shape[1] != omegas.shape[2]:
         raise DimensionError(f"expected (n, N, N) stack, got shape {omegas.shape}")
-    n, N = omegas.shape[0], omegas.shape[1]
-    if not 0 < N < n:
-        raise DimensionError(f"require 0 < N < n, got N={N}, n={n}")
-    if np.iscomplexobj(omegas) and not np.any(omegas.imag):
-        omegas = omegas.real
-    omegas = np.ascontiguousarray(omegas)
-    omegas.setflags(write=False)
-    ens = CorrelationEnsemble(N=N, n=n, omegas=omegas, w_min=np.nan, w_max=np.nan)
-    w_min, w_max = validate(ens, w_min_tol=w_min_tol)
-    object.__setattr__(ens, "w_min", w_min)
-    object.__setattr__(ens, "w_max", w_max)
-    return ens
+    return _from_candidates(omegas, np.arange(omegas.shape[0]), w_min_tol)
 
 
 def validate(ensemble: CorrelationEnsemble, w_min_tol: float = WMIN_TOLERANCE):
@@ -201,9 +203,7 @@ def validate(ensemble: CorrelationEnsemble, w_min_tol: float = WMIN_TOLERANCE):
     w_max = -np.inf
     # eigenvalues are shared within a group; validate per group but report
     # the first offending column index
-    first_col = {}
-    for i, g in enumerate(ensemble.group_index):
-        first_col.setdefault(int(g), i)
+    first_col = np.unique(ensemble.group_index, return_index=True)[1].tolist()
     for g, om in enumerate(ensemble.group_omegas):
         _check_hermitian(om, what="covariance", index=first_col[g])
         evals = np.linalg.eigvalsh(om)
@@ -222,8 +222,7 @@ def build_identity(N: int, n: int) -> CorrelationEnsemble:
     """All covariances equal to I_N (the classical uncorrelated case)."""
     if not 0 < N < n:
         raise DimensionError(f"require 0 < N < n, got N={N}, n={n}")
-    omegas = np.broadcast_to(np.eye(N), (n, N, N))
-    return from_matrices(np.ascontiguousarray(omegas))
+    return _from_candidates(np.eye(N)[None], np.zeros(n, dtype=np.intp))
 
 
 def build_exponential(N: int, n: int, rhos) -> CorrelationEnsemble:
@@ -239,10 +238,13 @@ def build_exponential(N: int, n: int, rhos) -> CorrelationEnsemble:
     if np.any(rhos < 0.0) or np.any(rhos >= 1.0):
         bad = int(np.argmax((rhos < 0.0) | (rhos >= 1.0)))
         raise DomainError(f"rho[{bad}] = {rhos[bad]} outside [0, 1)")
+    # one Toeplitz matrix per distinct rho bit pattern
+    _, first, column_rho = np.unique(rhos.view(np.uint64), return_index=True,
+                                     return_inverse=True)
     idx = np.arange(N)
     lag = np.abs(idx[:, None] - idx[None, :])
-    omegas = rhos[:, None, None] ** lag[None, :, :]
-    return from_matrices(omegas)
+    candidates = rhos[first][:, None, None] ** lag[None, :, :]
+    return _from_candidates(candidates, column_rho)
 
 
 # -- binary matrix files ----------------------------------------------------

@@ -8,7 +8,6 @@ evaluation order or thread count.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,6 +19,7 @@ from .errors import (
     InequalityViolation,
     SignalBelowNoise,
 )
+from .formats import fmt
 from .model import CorrelationEnsemble
 from .solver import m_of_z, validate_spectral_point
 
@@ -296,24 +296,20 @@ def variance_scaling(ensemble: CorrelationEnsemble, A, z, trials: int,
 
 # -- plain-text interfaces ---------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_trials_csv(batch: TrialBatch, path) -> None:
     counts = batch.counts_in_interval
     with open(path, "w") as fh:
         fh.write("trial,seed,lambda_min,count_in_test_interval\n")
         for t in range(len(batch.seeds)):
             cnt = "" if counts is None else str(int(counts[t]))
-            fh.write(f"{t},{int(batch.seeds[t])},{_fmt(batch.lambda_min[t])},{cnt}\n")
+            fh.write(f"{t},{int(batch.seeds[t])},{fmt(batch.lambda_min[t])},{cnt}\n")
 
 
 def write_eigenvalues_txt(batch: TrialBatch, path) -> None:
     """Raw eigenvalues, one trial per line."""
     with open(path, "w") as fh:
         for row in batch.eigenvalue_sets:
-            fh.write(" ".join(_fmt(v) for v in row) + "\n")
+            fh.write(" ".join(fmt(v) for v in row) + "\n")
 
 
 def batch_summary(batch: TrialBatch) -> dict:
@@ -332,9 +328,3 @@ def batch_summary(batch: TrialBatch) -> dict:
         out["test_interval"] = list(batch.test_interval)
         out["violations_in_interval"] = int(batch.counts_in_interval.sum())
     return out
-
-
-def write_batch_summary_json(batch: TrialBatch, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(batch_summary(batch), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -74,9 +74,13 @@ class ZeroSolution:
     residual: float
 
 
-def _bulk_inverse(ensemble, weights, z):
-    """Inverse of (1/n) sum_g mult_g w_g Omega_g - z I for group weights w."""
-    A = np.tensordot(weights * ensemble.group_mult, ensemble.group_omegas, axes=1)
+def _bulk_inverse(ensemble, summed_group_weights, z):
+    """Inverse of the bulk matrix (1/n) sum_g s_g Omega_g - z I.
+
+    s_g is the sum of the column weights over group g.  Every bulk matrix
+    is assembled and inverted here.
+    """
+    A = np.tensordot(summed_group_weights, ensemble.group_omegas, axes=1)
     A /= ensemble.n
     idx = np.arange(ensemble.N)
     A[idx, idx] -= z
@@ -86,13 +90,24 @@ def _bulk_inverse(ensemble, weights, z):
         raise SingularMatrixError(f"bulk matrix singular at z = {z}") from exc
 
 
+def _column_inverse(ensemble, x, z):
+    """Bulk inverse for per-column unknowns x, summing 1/(1 + x_i) per group."""
+    weights = 1.0 / (1.0 + x)
+    # np.add.at, not np.bincount: bincount rejects complex weights
+    summed = np.zeros(len(ensemble.group_mult), dtype=weights.dtype)
+    np.add.at(summed, ensemble.group_index, weights)
+    return _bulk_inverse(ensemble, summed, z)
+
+
 def _group_traces(ensemble, inv):
     """(1/n) tr(Omega_g inv) for every group, via one flattened matvec."""
-    return ensemble.group_omegas_flat @ np.ascontiguousarray(inv.T).ravel() / ensemble.n
+    flat = ensemble.group_omegas.reshape(len(ensemble.group_omegas), -1)
+    return flat @ np.ascontiguousarray(inv.T).ravel() / ensemble.n
 
 
 def _phi_groups(ensemble, x_groups, z):
-    out = _group_traces(ensemble, _bulk_inverse(ensemble, 1.0 / (1.0 + x_groups), z))
+    out = _group_traces(ensemble, _bulk_inverse(
+        ensemble, 1.0 / (1.0 + x_groups) * ensemble.group_mult, z))
     if not np.iscomplexobj(x_groups) and not isinstance(z, complex):
         # real z <= 0 with Hermitian covariances: the traces are real
         out = out.real
@@ -157,8 +172,8 @@ def _iterate_single_group(ensemble, x0_groups, z, tol, max_iter, damping, cap=No
 def _initial_groups(ensemble, x0, z):
     """Collapse a caller-supplied start onto group coordinates.
 
-    Any start becomes group-constant after one full-resolution sweep, so a
-    non-constant x0 costs a single pass over all n covariances.
+    Any start becomes group-constant after one sweep, so a start that is
+    not constant on each group costs one extra bulk inverse.
     """
     G = len(ensemble.group_mult)
     dtype = complex if z.imag != 0.0 else float
@@ -171,29 +186,11 @@ def _initial_groups(ensemble, x0, z):
         raise DomainError(f"x0 must be a scalar or length-{ensemble.n} vector")
     if dtype is float:
         x0 = x0.real.astype(float)
-    reduced = x0[_first_columns(ensemble)]
+    reduced = x0[np.unique(ensemble.group_index, return_index=True)[1]]
     if np.array_equal(ensemble.expand(reduced), x0):
         return reduced
-    A = np.tensordot(1.0 / (1.0 + x0), ensemble.omegas, axes=1) / ensemble.n
-    idx = np.arange(ensemble.N)
-    A[idx, idx] -= z
-    try:
-        inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"bulk matrix singular at z = {z}") from exc
-    out = _group_traces(ensemble, inv)
+    out = _group_traces(ensemble, _column_inverse(ensemble, x0, z))
     return out.real if dtype is float else out
-
-
-def _first_columns(ensemble):
-    G = len(ensemble.group_mult)
-    first = np.full(G, -1, dtype=np.intp)
-    for col, g in enumerate(ensemble.group_index):
-        if first[g] < 0:
-            first[g] = col
-        if np.all(first >= 0):
-            break
-    return first
 
 
 def phi(ensemble: CorrelationEnsemble, x, z: float) -> np.ndarray:
@@ -210,14 +207,7 @@ def phi(ensemble: CorrelationEnsemble, x, z: float) -> np.ndarray:
         raise DomainError(f"x must have length n = {ensemble.n}")
     if np.any(x < 0):
         raise DomainError("x must be entrywise nonnegative")
-    A = np.tensordot(1.0 / (1.0 + x), ensemble.omegas, axes=1) / ensemble.n
-    idx = np.arange(ensemble.N)
-    A[idx, idx] -= z
-    try:
-        inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"bulk matrix singular at z = {z}") from exc
-    return ensemble.expand(_group_traces(ensemble, inv).real)
+    return ensemble.expand(_group_traces(ensemble, _column_inverse(ensemble, x, z)).real)
 
 
 def solve_deltas(ensemble: CorrelationEnsemble, z, tol: float = 1e-12,
@@ -235,9 +225,9 @@ def solve_deltas(ensemble: CorrelationEnsemble, z, tol: float = 1e-12,
     if not 0.0 < damping <= 1.0:
         raise DomainError(f"damping must be in (0, 1], got {damping}")
     zz = z if z.imag != 0.0 else z.real
-    x0g = _initial_groups(ensemble, x0, z)
+    x0g = _initial_groups(ensemble, x0, zz)
     xg, iterations, residual = _iterate_groups(ensemble, x0g, zz, tol, max_iter, damping)
-    inv = _bulk_inverse(ensemble, 1.0 / (1.0 + xg), zz)
+    inv = _bulk_inverse(ensemble, 1.0 / (1.0 + xg) * ensemble.group_mult, zz)
     m = np.trace(inv) / ensemble.N
     return FixedPointSolution(
         z=z,
@@ -313,11 +303,7 @@ def jacobian_at_zero(ensemble: CorrelationEnsemble, ell):
     if np.any(ell <= 0):
         raise DomainError("ell must be strictly positive")
     n = ensemble.n
-    A = np.tensordot(1.0 / (1.0 + ell), ensemble.omegas, axes=1) / n
-    try:
-        inv = np.linalg.inv(A)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError("bulk matrix singular at z = 0") from exc
+    inv = _column_inverse(ensemble, ell, 0.0)
     prods = ensemble.group_omegas @ inv  # (G, N, N)
     G = len(prods)
     flat = prods.reshape(G, -1)

@@ -9,7 +9,6 @@ spectral gap at zero.
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -22,6 +21,7 @@ from .errors import (
     EmptySupportError,
     InequalityViolation,
 )
+from .formats import fmt, write_json
 from .model import CorrelationEnsemble
 from .solver import solve_deltas
 
@@ -215,15 +215,11 @@ def mass_check(ensemble: CorrelationEnsemble, y: float = 1e6) -> float:
 
 # -- plain-text interfaces ---------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_density_csv(curve: DensityCurve, path) -> None:
     with open(path, "w") as fh:
         fh.write("x,density\n")
         for x, d in zip(curve.xs, curve.ys):
-            fh.write(f"{_fmt(x)},{_fmt(d)}\n")
+            fh.write(f"{fmt(x)},{fmt(d)}\n")
 
 
 def support_report_dict(report: SupportReport) -> dict:
@@ -236,6 +232,4 @@ def support_report_dict(report: SupportReport) -> dict:
 
 
 def write_support_json(report: SupportReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(support_report_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, support_report_dict(report))

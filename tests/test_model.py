@@ -114,10 +114,14 @@ def test_hermitian_sqrt_roundtrip_random_psd(N, seed):
 def test_ensemble_immutable_and_cached(exp_small):
     with pytest.raises(ValueError):
         exp_small.omegas[0, 0, 0] = 2.0
-    t1 = exp_small.thetas
-    assert t1 is exp_small.thetas  # cached
+    with pytest.raises(ValueError):
+        exp_small.group_omegas[0, 0, 0] = 2.0
+    t1 = exp_small.group_thetas
+    assert t1 is exp_small.group_thetas  # cached
+    assert exp_small.omegas is exp_small.omegas
+    per_column = t1[exp_small.group_index]
     for i, om in enumerate(exp_small.omegas):
-        rec = t1[i] @ t1[i].conj().T
+        rec = per_column[i] @ per_column[i].conj().T
         assert np.linalg.norm(rec - om) <= 1e-10 * np.linalg.norm(om)
 
 
@@ -126,6 +130,28 @@ def test_grouping_collapses_duplicates():
     assert len(ens.group_mult) == 2
     assert sorted(ens.group_mult.tolist()) == [3.0, 6.0]
     assert np.all(ens.expand(np.array([5.0, 7.0]))[ens.group_index == 0] == 5.0)
+
+
+@pytest.mark.parametrize("build,groups", [
+    (lambda: build_identity(3, 7), 1),
+    (lambda: build_exponential(4, 9, [(0.1, 0.6, 0.6)[i % 3] for i in range(9)]), 2),
+    # -0.0 puts -0.0 entries off the diagonal, so it is a group of its own
+    (lambda: build_exponential(3, 8, [0.5, 0.0, -0.0, 0.5, 0.0, 0.2, -0.0, 0.2]), 4),
+    # with N = 1 every rho gives [[1.0]]
+    (lambda: build_exponential(1, 5, [0.1, 0.2, 0.3, 0.1, 0.0]), 1),
+])
+def test_builders_group_like_from_matrices(build, groups):
+    # the builders group distinct candidates; from_matrices groups all n
+    # columns by their bytes, so both must give the same ensemble
+    ens = build()
+    ref = from_matrices(ens.omegas)
+    assert len(ens.group_mult) == groups
+    assert np.array_equal(ens.group_index, ref.group_index)
+    assert np.array_equal(ens.group_mult, ref.group_mult)
+    assert ens.group_omegas.dtype == ref.group_omegas.dtype
+    assert ens.group_omegas.tobytes() == ref.group_omegas.tobytes()
+    assert (ens.w_min, ens.w_max) == (ref.w_min, ref.w_max)
+    assert ens.ensemble_id == ref.ensemble_id
 
 
 def test_config_identity_and_exponential_cycling():

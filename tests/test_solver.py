@@ -4,9 +4,11 @@ import pytest
 from specgap import (
     build_exponential,
     build_identity,
+    detect_support,
     jacobian_at_zero,
     m_of_z,
     phi,
+    sample_matrix,
     solve_at_zero,
     solve_deltas,
 )
@@ -106,6 +108,23 @@ def test_uniqueness_random_start_complex():
     a = solve_deltas(ens, z, tol=tol)
     b = solve_deltas(ens, z, tol=tol, x0=rng.uniform(0, 5, ens.n))
     assert np.max(np.abs(a.delta - b.delta)) < 100 * tol
+    # a start that is not constant on the groups, complex and real
+    grouped = build_exponential(4, 9, [(0.2, 0.5, 0.9)[i % 3] for i in range(9)])
+    for z, x0 in ((z, rng.uniform(0, 5, 9) + 1j * rng.uniform(0, 5, 9)),
+                  (-0.5, rng.uniform(0, 5, 9))):
+        a = solve_deltas(grouped, z, tol=tol)
+        b = solve_deltas(grouped, z, tol=tol, x0=x0)
+        assert np.max(np.abs(a.delta - b.delta)) < 100 * tol
+
+
+def test_grouped_ensemble_never_builds_stack():
+    ens = build_identity(128, 512)
+    solve_deltas(ens, 1.0 + 0.1j)
+    solve_at_zero(ens)
+    detect_support(ens, steps=40, y=1e-3, threshold=1e-2)
+    sample_matrix(ens, 7)
+    assert ens.ensemble_id
+    assert "omegas" not in ens.__dict__
 
 
 def test_monotone_in_p(exp64):
