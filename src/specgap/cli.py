@@ -20,7 +20,7 @@ import numpy as np
 from . import algebra, sampler, spectrum
 from .errors import ConfigError, GapViolation, SignalBelowNoise, SpecgapError
 from .formats import fmt, write_json as _write_json
-from .model import ensemble_from_config
+from .model import config_number as _number, ensemble_from_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -60,7 +60,14 @@ def _require(cfg: dict, key: str, where: str):
 def _as_z(value, where: str) -> complex:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigError(f"{where}: z must be a [re, im] pair")
-    return complex(float(value[0]), float(value[1]))
+    return complex(_number(float, value[0], f"{where}.z"), _number(float, value[1], f"{where}.z"))
+
+
+def _seed(args, cfg: dict, where: str) -> int:
+    """The --seed flag if given, else the config's seed (default 0)."""
+    if args.seed is not None:
+        return args.seed
+    return _number(int, cfg.get("seed", 0), f"{where}.seed")
 
 
 def _outdir(args) -> Path:
@@ -77,12 +84,12 @@ def cmd_density(args) -> int:
     _take(grid, {"lo", "hi", "steps"}, "grid")
     curve = spectrum.density(
         ens,
-        float(_require(grid, "lo", "grid")),
-        float(_require(grid, "hi", "grid")),
-        int(_require(grid, "steps", "grid")),
-        y=float(cfg.get("y", 1e-4)),
-        tol=float(cfg.get("tol", 1e-9)),
-        max_iter=int(cfg.get("max_iter", 200000)),
+        _number(float, _require(grid, "lo", "grid"), "grid.lo"),
+        _number(float, _require(grid, "hi", "grid"), "grid.hi"),
+        _number(int, _require(grid, "steps", "grid"), "grid.steps"),
+        y=_number(float, cfg.get("y", 1e-4), "density.y"),
+        tol=_number(float, cfg.get("tol", 1e-9), "density.tol"),
+        max_iter=_number(int, cfg.get("max_iter", 200000), "density.max_iter"),
         workers=args.workers,
     )
     out = _outdir(args)
@@ -99,15 +106,9 @@ def cmd_density(args) -> int:
 
 def _support_kwargs(cfg: dict, where: str) -> dict:
     _take(cfg, {"x_hi", "steps", "y", "threshold", "solver_tol"}, where)
-    kw = {}
-    if "x_hi" in cfg:
-        kw["x_hi"] = float(cfg["x_hi"])
-    kw["steps"] = int(cfg.get("steps", 400))
-    kw["y"] = float(cfg.get("y", 1e-5))
-    kw["threshold"] = float(cfg.get("threshold", 1e-3))
-    if "solver_tol" in cfg:
-        kw["solver_tol"] = float(cfg["solver_tol"])
-    return kw
+    kw = {"steps": 400, "y": 1e-5, "threshold": 1e-3, **cfg}
+    return {key: _number(int if key == "steps" else float, value, f"{where}.{key}")
+            for key, value in kw.items()}
 
 
 def cmd_support(args) -> int:
@@ -126,15 +127,15 @@ def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
     _take(cfg, {"ensemble", "trials", "seed", "test_interval", "support"}, "verify")
     ens = ensemble_from_config(_require(cfg, "ensemble", "verify"))
-    trials = int(_require(cfg, "trials", "verify"))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    trials = _number(int, _require(cfg, "trials", "verify"), "verify.trials")
+    seed = _seed(args, cfg, "verify")
     support_kw = _support_kwargs(cfg.get("support", {}), "verify.support")
     explicit_interval = None
     if "test_interval" in cfg:
         iv = cfg["test_interval"]
         if not isinstance(iv, (list, tuple)) or len(iv) != 2:
             raise ConfigError("verify: test_interval must be [a, b]")
-        explicit_interval = (float(iv[0]), float(iv[1]))
+        explicit_interval = tuple(_number(float, v, "verify.test_interval") for v in iv)
     report = spectrum.detect_support(ens, workers=args.workers, **support_kw)
     eps = report.epsilon_at_zero
     interval = explicit_interval if explicit_interval is not None else (0.0, eps / 2.0)
@@ -164,11 +165,12 @@ def cmd_verify(args) -> int:
 def _build_family(cfg: dict):
     _take(cfg, {"Ns", "n_ratio", "model"}, "family")
     Ns = _require(cfg, "Ns", "family")
-    ratio = int(_require(cfg, "n_ratio", "family"))
+    ratio = _number(int, _require(cfg, "n_ratio", "family"), "family.n_ratio")
     model = _require(cfg, "model", "family")
     if not isinstance(Ns, list) or not Ns:
         raise ConfigError("family.Ns must be a nonempty list")
-    return [_family_member(model, int(N), int(N) * ratio) for N in Ns]
+    Ns = [_number(int, N, "family.Ns") for N in Ns]
+    return [_family_member(model, N, N * ratio) for N in Ns]
 
 
 def _family_member(model: dict, N: int, n: int):
@@ -182,15 +184,20 @@ def cmd_scaling(args) -> int:
     family_cfg = _require(cfg, "family", "scaling")
     family = _build_family(family_cfg)
     z = _as_z(_require(cfg, "z", "scaling"), "scaling")
-    trials = int(_require(cfg, "trials", "scaling"))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    slope_threshold = float(cfg.get("slope_threshold", -1.5))
+    trials = _number(int, _require(cfg, "trials", "scaling"), "scaling.trials")
+    seed = _seed(args, cfg, "scaling")
+    slope_threshold = _number(float, cfg.get("slope_threshold", -1.5), "scaling.slope_threshold")
     vcfg = None
     if "variance" in cfg:
         vcfg = cfg["variance"]
         _take(vcfg, {"z", "trials", "size_index", "double_n"}, "scaling.variance")
         vz = _as_z(_require(vcfg, "z", "scaling.variance"), "scaling.variance")
-        vtrials = int(_require(vcfg, "trials", "scaling.variance"))
+        vtrials = _number(int, _require(vcfg, "trials", "scaling.variance"),
+                          "scaling.variance.trials")
+        size_index = _number(int, vcfg.get("size_index", 0), "scaling.variance.size_index")
+        if not -len(family) <= size_index < len(family):
+            raise ConfigError(f"scaling.variance.size_index {size_index} is out of range "
+                              f"for {len(family)} sizes")
     report = sampler.bias_scaling(family, z, trials, seed0=seed, workers=args.workers)
     payload = {
         "Ns": report.Ns,
@@ -204,7 +211,7 @@ def cmd_scaling(args) -> int:
         "seed": seed,
     }
     if vcfg is not None:
-        ens = family[int(vcfg.get("size_index", 0))]
+        ens = family[size_index]
         check = sampler.variance_scaling(ens, np.eye(ens.N), vz, vtrials, seed0=seed,
                                          workers=args.workers)
         ventry = {
@@ -233,11 +240,11 @@ def cmd_scaling(args) -> int:
 def cmd_selftest(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
     _take(cfg, {"witnesses", "triples", "hermitian_draws", "size", "seed"}, "selftest")
-    witnesses = int(cfg.get("witnesses", 500))
-    triples = int(cfg.get("triples", 1000))
-    herm = int(cfg.get("hermitian_draws", 1000))
-    size = int(cfg.get("size", 12))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    witnesses = _number(int, cfg.get("witnesses", 500), "selftest.witnesses")
+    triples = _number(int, cfg.get("triples", 1000), "selftest.triples")
+    herm = _number(int, cfg.get("hermitian_draws", 1000), "selftest.hermitian_draws")
+    size = _number(int, cfg.get("size", 12), "selftest.size")
+    seed = _seed(args, cfg, "selftest")
     rng = np.random.default_rng(seed)
     for _ in range(witnesses):
         w = algebra.random_positive_witness(rng, size, target_rho=float(rng.uniform(0.1, 0.95)))

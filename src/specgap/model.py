@@ -272,6 +272,14 @@ def save_omegas(path, omegas) -> None:
     out.astype("<f8").tofile(path)
 
 
+def config_number(kind, value, name: str):
+    """kind(value) for a config entry; a value that does not convert is a ConfigError."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+
+
 def ensemble_from_config(config: dict) -> CorrelationEnsemble:
     """Build an ensemble from its JSON configuration.
 
@@ -284,8 +292,8 @@ def ensemble_from_config(config: dict) -> CorrelationEnsemble:
     if unknown:
         raise ConfigError(f"unknown ensemble config keys: {sorted(unknown)}")
     try:
-        N = int(config["N"])
-        n = int(config["n"])
+        N = config_number(int, config["N"], "ensemble.N")
+        n = config_number(int, config["n"], "ensemble.n")
         model = config["model"]
     except KeyError as exc:
         raise ConfigError(f"ensemble config missing key {exc}") from None
@@ -298,9 +306,9 @@ def ensemble_from_config(config: dict) -> CorrelationEnsemble:
     if kind == "exponential":
         _reject_unknown(model, {"type", "rho"})
         rho = model.get("rho")
-        if rho is None:
+        if not isinstance(rho, (list, tuple)):
             raise ConfigError("exponential model requires a rho list")
-        rho = list(rho)
+        rho = [config_number(float, r, "model.rho") for r in rho]
         if len(rho) == 0:
             raise ConfigError("rho list must be nonempty")
         rhos = [rho[i % len(rho)] for i in range(n)]

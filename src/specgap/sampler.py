@@ -126,11 +126,25 @@ def gram_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     return np.clip(evals, 0.0, None)
 
 
-def _run_trials(ensemble, seeds, worker, workers=1):
+def _trials(ensemble, statistic, trials, seed0, workers):
+    """statistic(draw) for each trial's sample_matrix draw, in trial order.
+
+    Returns (seeds, samples).  Every Monte Carlo statistic runs through
+    here, so each trial's draw depends only on (seed0, trial) whatever the
+    worker count.  trial_seeds and sample_matrix are read as module
+    attributes on each call, so a wrapper installed on them sees every draw.
+    """
+    seeds = trial_seeds(seed0, trials)
+
+    def one(seed):
+        return statistic(sample_matrix(ensemble, int(seed)))
+
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, seeds))
-    return [worker(s) for s in seeds]
+            samples = list(pool.map(one, seeds))
+    else:
+        samples = [one(s) for s in seeds]
+    return seeds, np.array(samples)
 
 
 def monte_carlo_gap(ensemble: CorrelationEnsemble, trials: int, seed0: int,
@@ -148,12 +162,7 @@ def monte_carlo_gap(ensemble: CorrelationEnsemble, trials: int, seed0: int,
         if not a <= b:
             raise DomainError(f"test interval must satisfy a <= b, got [{a}, {b}]")
         test_interval = (a, b)
-    seeds = trial_seeds(seed0, trials)
-
-    def one(seed):
-        return gram_eigenvalues(sample_matrix(ensemble, int(seed)))
-
-    eigs = np.array(_run_trials(ensemble, seeds, one, workers))
+    seeds, eigs = _trials(ensemble, gram_eigenvalues, trials, seed0, workers)
     lam_min = eigs[:, 0].copy()
     counts = None
     if test_interval is not None:
@@ -175,20 +184,10 @@ def resolvent_trace_samples(ensemble: CorrelationEnsemble, z, trials: int,
     """(1/N) tr Q(z) across trials, from the Gram eigenvalues."""
     z = validate_spectral_point(z)
 
-    def trace(evals):
-        return np.sum(1.0 / (evals - z)) / ensemble.N
+    def trace(sigma):
+        return np.sum(1.0 / (gram_eigenvalues(sigma) - z)) / ensemble.N
 
-    return _spectral_samples(ensemble, trace, trials, seed0, workers)
-
-
-def _spectral_samples(ensemble, statistic, trials, seed0, workers):
-    """statistic(Gram eigenvalues) for each of the trials' draws, in trial order."""
-    seeds = trial_seeds(seed0, trials)
-
-    def one(seed):
-        return statistic(gram_eigenvalues(sample_matrix(ensemble, int(seed))))
-
-    return np.array(_run_trials(ensemble, seeds, one, workers))
+    return _trials(ensemble, trace, trials, seed0, workers)[1]
 
 
 def bias_scaling(ensemble_family, z, trials: int, seed0: int = 0,
@@ -234,7 +233,8 @@ def bias_scaling(ensemble_family, z, trials: int, seed0: int = 0,
             samples = resolvent_trace_samples(ens, z, trials, seed0, workers)
             offset, floor = 0.0, 0.0
         else:
-            samples = _spectral_samples(ens, cv.remainder_trace, trials, seed0, workers)
+            _, samples = _trials(ens, lambda sigma: cv.remainder_trace(gram_eigenvalues(sigma)),
+                                 trials, seed0, workers)
             offset = cv.mean
             floor = cv.error + moments.reference_error(ens, z, m_ref)
         mean = samples.mean()
@@ -268,17 +268,15 @@ def variance_scaling(ensemble: CorrelationEnsemble, A, z, trials: int,
     scale = float(np.abs(A).max()) if A.size else 0.0
     if scale and float(np.abs(A - A.conj().T).max()) > 1e-10 * scale:
         raise DomainError("A must be Hermitian")
-    seeds = trial_seeds(seed0, trials)
     n = ensemble.n
     eye = np.eye(ensemble.N)
 
-    def one(seed):
-        sigma = sample_matrix(ensemble, int(seed))
+    def trace(sigma):
         gram = sigma @ sigma.conj().T / n
         Q = np.linalg.inv(gram - z * eye)
         return np.trace(A @ Q) / n
 
-    samples = np.array(_run_trials(ensemble, seeds, one, workers))
+    _, samples = _trials(ensemble, trace, trials, seed0, workers)
     mean = samples.mean()
     measured = float(np.sum(np.abs(samples - mean) ** 2) / max(len(samples) - 1, 1))
     proxy = z.imag == 0.0
@@ -303,28 +301,3 @@ def write_trials_csv(batch: TrialBatch, path) -> None:
         for t in range(len(batch.seeds)):
             cnt = "" if counts is None else str(int(counts[t]))
             fh.write(f"{t},{int(batch.seeds[t])},{fmt(batch.lambda_min[t])},{cnt}\n")
-
-
-def write_eigenvalues_txt(batch: TrialBatch, path) -> None:
-    """Raw eigenvalues, one trial per line."""
-    with open(path, "w") as fh:
-        for row in batch.eigenvalue_sets:
-            fh.write(" ".join(fmt(v) for v in row) + "\n")
-
-
-def batch_summary(batch: TrialBatch) -> dict:
-    lam = batch.lambda_min
-    qs = np.quantile(lam, [0.05, 0.25, 0.5, 0.75, 0.95])
-    out = {
-        "trials": int(len(batch.seeds)),
-        "ensemble_id": batch.ensemble_id,
-        "lambda_min": {
-            "min": float(lam.min()),
-            "mean": float(lam.mean()),
-            "quantiles": {p: float(v) for p, v in zip(["p05", "p25", "p50", "p75", "p95"], qs)},
-        },
-    }
-    if batch.counts_in_interval is not None:
-        out["test_interval"] = list(batch.test_interval)
-        out["violations_in_interval"] = int(batch.counts_in_interval.sum())
-    return out

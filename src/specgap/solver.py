@@ -12,7 +12,10 @@ certified through the Jacobian spectral radius.
 
 Columns with identical covariances share one unknown; all iterations run
 on the collapsed group coordinates, which reproduces the full iteration
-exactly while cutting the per-sweep cost from n to G traces.
+exactly while cutting the per-sweep cost from n to G traces.  One Picard
+loop serves every solve.  Its sweep map is built once per spectral point:
+with a single distinct covariance it is an O(N) formula in the cached
+eigenbasis, otherwise one bulk inverse followed by the G group traces.
 """
 
 from __future__ import annotations
@@ -105,62 +108,51 @@ def _group_traces(ensemble, inv):
     return flat @ np.ascontiguousarray(inv.T).ravel() / ensemble.n
 
 
-def _phi_groups(ensemble, x_groups, z):
-    out = _group_traces(ensemble, _bulk_inverse(
-        ensemble, 1.0 / (1.0 + x_groups) * ensemble.group_mult, z))
-    if not np.iscomplexobj(x_groups) and not isinstance(z, complex):
-        # real z <= 0 with Hermitian covariances: the traces are real
-        out = out.real
-    return out
+def _sweep_map(ensemble, z):
+    """The fixed-point map on group coordinates at z, real-valued at real z.
+
+    With one distinct covariance the bulk matrix diagonalizes in its
+    eigenbasis, so each sweep costs O(N) on a scalar iterate instead of a
+    matrix inverse; otherwise a sweep is one bulk inverse plus G traces.
+    """
+    real = not isinstance(z, complex)  # Hermitian covariances: real traces
+    n = ensemble.n
+    if len(ensemble.group_mult) == 1:
+        lam = ensemble.group_eigh[0][0]
+        scale = ensemble.group_mult[0] / n
+
+        def sweep(x):
+            fx = np.sum(lam / (scale / (1.0 + x) * lam - z)) / n
+            return fx.real if real else fx
+    else:
+        mult = ensemble.group_mult
+
+        def sweep(x):
+            out = _group_traces(ensemble, _bulk_inverse(ensemble, 1.0 / (1.0 + x) * mult, z))
+            return out.real if real else out
+    return sweep
 
 
 def _iterate_groups(ensemble, x0_groups, z, tol, max_iter, damping, cap=None):
     """Damped Picard sweep on group coordinates until the update norm < tol."""
-    if len(ensemble.group_mult) == 1:
-        return _iterate_single_group(ensemble, x0_groups, z, tol, max_iter, damping, cap)
-    x = np.array(x0_groups, copy=True)
+    sweep = _sweep_map(ensemble, z)
+    # a single group iterates on a numpy scalar: array reductions would
+    # cost more than its O(N) sweep
+    scalar = len(ensemble.group_mult) == 1
+    x = x0_groups[0] if scalar else x0_groups.copy()
     for it in range(1, max_iter + 1):
-        fx = _phi_groups(ensemble, x, z)
+        fx = sweep(x)
         new = fx if damping == 1.0 else (1.0 - damping) * x + damping * fx
-        residual = float(np.max(np.abs(new - x)))
+        step = abs(new - x)
+        residual = step if scalar else step.max()
         x = new
-        if cap is not None and float(np.max(x.real)) > cap:
+        if cap is not None and (x.real if scalar else x.real.max()) > cap:
             raise DivergenceError(
                 f"iterates exceeded cap {cap:.6g} at z = {z}; "
                 "the ensemble likely violates the boundedness assumptions"
             )
         if residual < tol:
-            return x, it, residual
-    raise ConvergenceError(
-        f"no convergence after {max_iter} iterations at z = {z} "
-        f"(last update {residual:.3e}, tol {tol:.0e})",
-        residual=residual,
-        iterations=max_iter,
-    )
-
-
-def _iterate_single_group(ensemble, x0_groups, z, tol, max_iter, damping, cap=None):
-    # one distinct covariance: the bulk matrix diagonalizes in its eigenbasis,
-    # so each sweep costs O(N) instead of a matrix inverse
-    lam = ensemble.group_eigh[0][0]
-    scale = ensemble.group_mult[0] / ensemble.n
-    x = complex(x0_groups[0]) if np.iscomplexobj(x0_groups) or isinstance(z, complex) \
-        else float(x0_groups[0].real)
-    for it in range(1, max_iter + 1):
-        fx = np.sum(lam / (scale / (1.0 + x) * lam - z)) / ensemble.n
-        if not isinstance(x, complex):
-            fx = fx.real
-        new = fx if damping == 1.0 else (1.0 - damping) * x + damping * fx
-        residual = abs(new - x)
-        x = new
-        if cap is not None and (x.real if isinstance(x, complex) else x) > cap:
-            raise DivergenceError(
-                f"iterates exceeded cap {cap:.6g} at z = {z}; "
-                "the ensemble likely violates the boundedness assumptions"
-            )
-        if residual < tol:
-            out = np.array([x])
-            return out, it, float(residual)
+            return (np.array([x]) if scalar else x), it, float(residual)
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations at z = {z} "
         f"(last update {residual:.3e}, tol {tol:.0e})",
@@ -176,16 +168,15 @@ def _initial_groups(ensemble, x0, z):
     not constant on each group costs one extra bulk inverse.
     """
     G = len(ensemble.group_mult)
-    dtype = complex if z.imag != 0.0 else float
+    dtype = complex if isinstance(z, complex) else float
     if x0 is None:
         return np.zeros(G, dtype=dtype)
-    x0 = np.asarray(x0, dtype=dtype if np.iscomplexobj(x0) or dtype is complex else float)
+    x0 = np.asarray(x0)
+    x0 = (x0 if dtype is complex else x0.real).astype(dtype)
     if x0.ndim == 0:
-        return np.full(G, complex(x0) if dtype is complex else float(x0.real))
+        return np.full(G, x0)
     if x0.shape != (ensemble.n,):
         raise DomainError(f"x0 must be a scalar or length-{ensemble.n} vector")
-    if dtype is float:
-        x0 = x0.real.astype(float)
     reduced = x0[np.unique(ensemble.group_index, return_index=True)[1]]
     if np.array_equal(ensemble.expand(reduced), x0):
         return reduced

@@ -229,6 +229,23 @@ def test_selftest_config(tmp_path, capsys):
     assert "witnesses: 20 ok" in capsys.readouterr().out
 
 
+SCALING = {"family": {"Ns": [4, 8, 16], "n_ratio": 4, "model": {"type": "identity"}},
+           "z": [-1.0, 0.0], "trials": 10}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("support", {"ensemble": IDENT16, "steps": "many"}),
+    ("verify", {"ensemble": IDENT16, "trials": 4, "test_interval": ["a", 1]}),
+    ("support", {"ensemble": {**IDENT16, "N": "four"}}),
+    ("support", {"ensemble": {**IDENT16, "model": {"type": "exponential", "rho": ["x"]}}}),
+    ("scaling", {**SCALING, "variance": {"z": [0.0, 1.0], "trials": 10, "size_index": 3}}),
+], ids=["steps", "test_interval", "N", "rho", "size_index"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, command, payload):
+    cfg = write_cfg(tmp_path, payload)
+    assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert run(["support", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path)]) == 2

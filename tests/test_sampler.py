@@ -17,13 +17,7 @@ from specgap import (
 )
 from specgap import moments
 from specgap.errors import DimensionError, DomainError, SignalBelowNoise
-from specgap.sampler import (
-    batch_summary,
-    resolvent_trace_samples,
-    trial_seeds,
-    write_eigenvalues_txt,
-    write_trials_csv,
-)
+from specgap.sampler import resolvent_trace_samples, trial_seeds, write_trials_csv
 from specgap.solver import m_of_z
 
 from helpers import laguerre_mean_trace
@@ -234,7 +228,7 @@ def test_variance_scaling_validation(exp_small):
         variance_scaling(exp_small, np.array([[1.0, 1.0], [0.0, 1.0]]), 2j, 10)
 
 
-def test_trial_csv_and_summary(tmp_path, exp_small):
+def test_trial_csv(tmp_path, exp_small):
     batch, _ = monte_carlo_gap(exp_small, 4, 13, test_interval=(0.0, 0.05))
     path = tmp_path / "trials.csv"
     write_trials_csv(batch, path)
@@ -242,14 +236,3 @@ def test_trial_csv_and_summary(tmp_path, exp_small):
     assert lines[0] == "trial,seed,lambda_min,count_in_test_interval"
     assert len(lines) == 5
     assert int(lines[1].split(",")[1]) == int(batch.seeds[0])
-
-    raw = tmp_path / "eigs.txt"
-    write_eigenvalues_txt(batch, raw)
-    rows = raw.read_text().strip().splitlines()
-    assert len(rows) == 4
-    assert np.allclose([float(v) for v in rows[0].split()], batch.eigenvalue_sets[0])
-
-    summary = batch_summary(batch)
-    assert summary["trials"] == 4
-    assert summary["lambda_min"]["min"] == float(batch.lambda_min.min())
-    assert "violations_in_interval" in summary

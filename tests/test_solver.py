@@ -108,10 +108,12 @@ def test_uniqueness_random_start_complex():
     a = solve_deltas(ens, z, tol=tol)
     b = solve_deltas(ens, z, tol=tol, x0=rng.uniform(0, 5, ens.n))
     assert np.max(np.abs(a.delta - b.delta)) < 100 * tol
-    # a start that is not constant on the groups, complex and real
+    # a start that is not constant on the groups, complex and real; at real z
+    # a complex start keeps its real part, also when given as a list
     grouped = build_exponential(4, 9, [(0.2, 0.5, 0.9)[i % 3] for i in range(9)])
     for z, x0 in ((z, rng.uniform(0, 5, 9) + 1j * rng.uniform(0, 5, 9)),
-                  (-0.5, rng.uniform(0, 5, 9))):
+                  (-0.5, rng.uniform(0, 5, 9)),
+                  (-0.5, (rng.uniform(0, 5, 9) + 1j * rng.uniform(0, 5, 9)).tolist())):
         a = solve_deltas(grouped, z, tol=tol)
         b = solve_deltas(grouped, z, tol=tol, x0=x0)
         assert np.max(np.abs(a.delta - b.delta)) < 100 * tol
@@ -147,10 +149,24 @@ def test_norm_bound_and_positivity_random():
         assert np.linalg.norm(sol.T, 2) <= 1.0 / abs(z.imag) + 1e-10
 
 
-def test_non_convergence_error(identity64):
+@pytest.mark.parametrize("name", ["identity64", "exp64"])
+def test_non_convergence_error(request, name):
+    # one group (eigenbasis sweep) and three groups (bulk-inverse sweep)
     with pytest.raises(ConvergenceError) as err:
-        solve_deltas(identity64, -1.0, max_iter=2, tol=1e-15)
+        solve_deltas(request.getfixturevalue(name), -1.0, max_iter=2, tol=1e-15)
     assert err.value.residual is not None
+
+
+def test_single_group_sweep_matches_bulk_kernel():
+    # one non-identity covariance: the solve runs the O(N) eigenbasis sweep,
+    # while phi and the zero-point Jacobian go through the bulk inverse
+    ens = build_exponential(8, 32, [0.5] * 32)
+    assert len(ens.group_mult) == 1
+    for z in (-0.5, -2.0):
+        delta = solve_deltas(ens, z).delta
+        assert np.allclose(phi(ens, delta, z), delta, rtol=0.0, atol=1e-11)
+    zs = solve_at_zero(ens)  # raises unless J(1 + ell) = ell to 1e-8
+    assert np.allclose(phi(ens, zs.ell, 0.0), zs.ell, rtol=0.0, atol=1e-11)
 
 
 @pytest.mark.parametrize("N,n,ell_expect", [(64, 256, 1 / 3), (64, 128, 1.0), (48, 64, 3.0)])
