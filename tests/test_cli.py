@@ -239,11 +239,31 @@ SCALING = {"family": {"Ns": [4, 8, 16], "n_ratio": 4, "model": {"type": "identit
     ("support", {"ensemble": {**IDENT16, "N": "four"}}),
     ("support", {"ensemble": {**IDENT16, "model": {"type": "exponential", "rho": ["x"]}}}),
     ("scaling", {**SCALING, "variance": {"z": [0.0, 1.0], "trials": 10, "size_index": 3}}),
-], ids=["steps", "test_interval", "N", "rho", "size_index"])
+    # an integer entry is not truncated, and a bool is not a number
+    ("support", {"ensemble": IDENT16, "steps": 10.9}),
+    ("support", {"ensemble": {**IDENT16, "N": 4.5}}),
+    ("verify", {"ensemble": IDENT16, "trials": True}),
+], ids=["steps", "test_interval", "N", "rho", "size_index",
+        "steps_fractional", "N_fractional", "trials_bool"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_integral_float_config_value_accepted(tmp_path):
+    cfg = write_cfg(tmp_path, {"ensemble": {**IDENT16, "N": 16.0}, "trials": 4.0})
+    assert run(["verify", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_workers_below_one_is_usage_error(tmp_path, capsys, workers):
+    cfg = write_cfg(tmp_path, {"ensemble": IDENT16, "trials": 4})
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--config", cfg, "--out", str(tmp_path), "--workers", workers])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "trials.csv").exists()
 
 
 def test_missing_config_file(tmp_path):

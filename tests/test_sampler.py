@@ -1,4 +1,7 @@
 import dataclasses
+import hashlib
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -52,6 +55,95 @@ def test_sample_determinism(exp_small):
     assert np.array_equal(a, b)
     c = sample_matrix(exp_small, 987654322)
     assert not np.array_equal(a, c)
+
+
+# sha256 of sample_matrix(ens, seed).tobytes(), recorded from the stream of one
+# freshly built Philox generator per column; re-keying must reproduce them
+STREAM_GOLDEN = {
+    "identity": {
+        0: "ac03423eb58199ecf3aefa385f3fb72aaed69e2fa33f355b44dce01c1227960c",
+        12345: "ecebcfdbcc14be055ce2164bf4ae2e065b069f33e9f3ab27f598ea59fe1f8463",
+        2**64 - 1: "c2e6b42dfab4021ecda0ef1ead4cd2a8e03a807cac53d176e25098a6b10f3f84",
+    },
+    "toeplitz_g3": {
+        0: "af86df099d070aa052fbb9a66a09af90f3803d1793dfa587e99354af9d8f5602",
+        12345: "c24e1cf04b14c354494398f767e86ab68e04fe178958bfdd0bd74ff3edec5e9a",
+        2**64 - 1: "5b068a79e9e4dacffa35a0308e05e0810daca179aae1f12cbce333e5cacc659d",
+    },
+    "distinct": {
+        0: "eb73d7d43d8991173a320e9d700c7d1e72b699c69dffb09e4b0d37aabf0bbf19",
+        12345: "f90c149e49e38dc57a3cd15f7848c1844becdfb859e9b7e5baf263a0e07af530",
+        2**64 - 1: "acf62757e0509e38bc0119809b6aae9b897028f931812cb74d1664066d12a50d",
+    },
+}
+
+
+def _stream_ensembles():
+    return {
+        "identity": build_identity(8, 32),
+        "toeplitz_g3": build_exponential(8, 30, [0.2, 0.5, 0.9] * 10),
+        "distinct": build_exponential(6, 12, np.linspace(0.0, 0.88, 12)),
+    }
+
+
+def test_sample_matrix_stream_golden():
+    ensembles = _stream_ensembles()
+    assert [len(e.group_thetas) for e in ensembles.values()] == [1, 3, 12]
+    for name, digests in STREAM_GOLDEN.items():
+        for seed, digest in digests.items():
+            got = hashlib.sha256(sample_matrix(ensembles[name], seed).tobytes()).hexdigest()
+            assert got == digest, (name, seed)
+
+
+def test_sample_matrix_builds_one_philox_per_thread(monkeypatch, exp_small):
+    built = []
+    philox = np.random.Philox
+
+    def counting(*args, **kwargs):
+        built.append(1)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting)
+    expected, _ = monte_carlo_gap(exp_small, 12, 7, workers=1)
+    assert len(built) <= 1
+    # a thread that has never drawn builds its generator once, not per column
+    built.clear()
+    out = {}
+    worker = threading.Thread(
+        target=lambda: out.setdefault("batch", monte_carlo_gap(exp_small, 12, 7, workers=1)[0]))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert len(built) == 1
+    assert np.array_equal(out["batch"].eigenvalue_sets, expected.eigenvalue_sets)
+
+
+def test_sample_matrix_concurrent_threads_match_serial():
+    ens = _stream_ensembles()["toeplitz_g3"]
+    seeds = [[1000 * t + k for k in range(5)] for t in range(8)]
+    serial = {s: sample_matrix(ens, s).tobytes() for row in seeds for s in row}
+    start = threading.Barrier(len(seeds))
+    mismatches = []
+
+    def draw(row):
+        start.wait(timeout=60)
+        for _ in range(20):
+            for s in row:
+                if sample_matrix(ens, s).tobytes() != serial[s]:
+                    mismatches.append(s)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threads = [threading.Thread(target=draw, args=(row,)) for row in seeds]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
 
 
 def test_gram_eigenvalues_trivial():
