@@ -46,6 +46,8 @@ def _load_config(path) -> dict:
 
 
 def _take(cfg: dict, allowed: set, where: str) -> None:
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
@@ -198,6 +200,10 @@ def cmd_scaling(args) -> int:
         if not -len(family) <= size_index < len(family):
             raise ConfigError(f"scaling.variance.size_index {size_index} is out of range "
                               f"for {len(family)} sizes")
+        double_n = vcfg.get("double_n", False)
+        if not isinstance(double_n, bool):
+            raise ConfigError(f"scaling.variance.double_n must be true or false, "
+                              f"got {double_n!r}")
     report = sampler.bias_scaling(family, z, trials, seed0=seed, workers=args.workers)
     payload = {
         "Ns": report.Ns,
@@ -220,7 +226,7 @@ def cmd_scaling(args) -> int:
             "z": [vz.real, vz.imag],
             "trials": vtrials,
         }
-        if vcfg.get("double_n", False):
+        if double_n:
             doubled = _family_member(family_cfg["model"], ens.N, 2 * ens.n)
             check2 = sampler.variance_scaling(doubled, np.eye(ens.N), vz, vtrials,
                                               seed0=seed, workers=args.workers)

@@ -76,8 +76,9 @@ class CorrelationEnsemble:
     ``group_omegas`` is a read-only (G, N, N) array of the distinct
     covariances, ordered by the first column that uses each, and
     ``group_index`` the read-only length-n map from column to group.  Square
-    roots, eigendecompositions and the full stack are computed lazily and
-    cached, so a constructed ensemble is safe to share across workers.
+    roots, eigendecompositions, the full stack and a complex copy of
+    ``group_omegas`` are computed lazily and cached, so a constructed
+    ensemble is safe to share across workers.
     """
 
     group_omegas: np.ndarray
@@ -97,6 +98,18 @@ class CorrelationEnsemble:
     def group_thetas(self) -> np.ndarray:
         """(G, N, N) Hermitian square roots of the distinct covariances."""
         out = np.stack([hermitian_sqrt(om) for om in self.group_omegas])
+        out.setflags(write=False)
+        return out
+
+    @cached_property
+    def group_omegas_complex(self) -> np.ndarray:
+        """Read-only complex copy of ``group_omegas`` for complex-z sweeps.
+
+        Built on first use and kept for the ensemble's lifetime
+        (G * N^2 * 16 bytes), so a sweep multiplying complex weights into
+        a real stack does not cast the stack on every call.
+        """
+        out = self.group_omegas.astype(complex)
         out.setflags(write=False)
         return out
 
@@ -295,6 +308,8 @@ def ensemble_from_config(config: dict) -> CorrelationEnsemble:
     "exponential" | "file", "rho": [floats], "path": "..."}}.  For the
     exponential model a rho list shorter than n is cycled.
     """
+    if not isinstance(config, dict):
+        raise ConfigError("ensemble must be a JSON object")
     allowed = {"N", "n", "model"}
     unknown = set(config) - allowed
     if unknown:

@@ -77,13 +77,29 @@ class ZeroSolution:
     residual: float
 
 
+def _group_stack(ensemble, operand):
+    """The (G, N, N) covariance stack to multiply with ``operand``.
+
+    A complex operand and a real stack of more than one group get the
+    ensemble's cached complex copy: numpy would cast the stack to exactly
+    that on every call, so the products are bit-identical.  A single group
+    keeps the real stack: its sweep never touches it, and one N x N cast
+    per solve is not worth caching.
+    """
+    stack = ensemble.group_omegas
+    if len(stack) > 1 and np.iscomplexobj(operand) and not np.iscomplexobj(stack):
+        return ensemble.group_omegas_complex
+    return stack
+
+
 def _bulk_inverse(ensemble, summed_group_weights, z):
     """Inverse of the bulk matrix (1/n) sum_g s_g Omega_g - z I.
 
     s_g is the sum of the column weights over group g.  Every bulk matrix
     is assembled and inverted here.
     """
-    A = np.tensordot(summed_group_weights, ensemble.group_omegas, axes=1)
+    stack = _group_stack(ensemble, summed_group_weights)
+    A = np.tensordot(summed_group_weights, stack, axes=1)
     A /= ensemble.n
     idx = np.arange(ensemble.N)
     A[idx, idx] -= z
@@ -104,7 +120,8 @@ def _column_inverse(ensemble, x, z):
 
 def _group_traces(ensemble, inv):
     """(1/n) tr(Omega_g inv) for every group, via one flattened matvec."""
-    flat = ensemble.group_omegas.reshape(len(ensemble.group_omegas), -1)
+    stack = _group_stack(ensemble, inv)
+    flat = stack.reshape(len(stack), -1)
     return flat @ np.ascontiguousarray(inv.T).ravel() / ensemble.n
 
 

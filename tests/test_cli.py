@@ -243,8 +243,17 @@ SCALING = {"family": {"Ns": [4, 8, 16], "n_ratio": 4, "model": {"type": "identit
     ("support", {"ensemble": IDENT16, "steps": 10.9}),
     ("support", {"ensemble": {**IDENT16, "N": 4.5}}),
     ("verify", {"ensemble": IDENT16, "trials": True}),
+    # a config section that is not a JSON object
+    ("density", {"ensemble": 5, "grid": {"lo": 0.0, "hi": 3.0, "steps": 10}}),
+    ("density", {"ensemble": IDENT16, "grid": 5}),
+    ("scaling", {**SCALING, "variance": 5}),
+    ("scaling", {**SCALING, "family": 5}),
+    # double_n is a JSON boolean, not any truthy value
+    ("scaling", {**SCALING, "variance": {"z": [0.0, 1.0], "trials": 10, "double_n": "no"}}),
 ], ids=["steps", "test_interval", "N", "rho", "size_index",
-        "steps_fractional", "N_fractional", "trials_bool"])
+        "steps_fractional", "N_fractional", "trials_bool",
+        "ensemble_not_object", "grid_not_object", "variance_not_object",
+        "family_not_object", "double_n_string"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -1,10 +1,16 @@
+import hashlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from specgap import (
     build_exponential,
     build_identity,
+    density,
     detect_support,
+    ensemble_from_config,
     jacobian_at_zero,
     m_of_z,
     phi,
@@ -19,9 +25,10 @@ from specgap.errors import (
     InvalidSpectralPoint,
     JacobianIdentityError,
 )
+from specgap.model import save_omegas
 from specgap.solver import validate_spectral_point
 
-from helpers import mp_delta, random_ensemble, random_upper_z
+from helpers import mp_delta, random_ensemble, random_psd, random_upper_z
 
 # identity ensemble, c = 0.25, z = -1: delta solves d^2 + (2 - c) d - c = 0
 DELTA_ORACLE = (-1.75 + np.sqrt(4.0625)) / 2.0
@@ -127,6 +134,103 @@ def test_grouped_ensemble_never_builds_stack():
     sample_matrix(ens, 7)
     assert ens.ensemble_id
     assert "omegas" not in ens.__dict__
+    assert "group_omegas_complex" not in ens.__dict__
+
+
+def test_complex_stack_cache(tmp_path):
+    ens = build_exponential(8, 30, [0.2, 0.5, 0.9] * 10)
+    solve_deltas(ens, -0.5)
+    phi(ens, np.full(ens.n, 0.5), -0.5)
+    solve_at_zero(ens)
+    assert "group_omegas_complex" not in ens.__dict__
+    solve_deltas(ens, 1.0 + 0.1j)
+    assert "group_omegas_complex" in ens.__dict__
+    stack = ens.group_omegas_complex
+    assert stack.dtype == complex and not stack.flags.writeable
+    assert np.array_equal(stack, ens.group_omegas)
+    assert ens.group_omegas_complex is stack
+    # a complex file ensemble already holds a complex stack and uses it as is
+    rng = np.random.default_rng(5)
+    path = tmp_path / "omegas.bin"
+    save_omegas(path, np.stack([random_psd(rng, 3)] * 3 + [random_psd(rng, 3)] * 3))
+    cplx = ensemble_from_config({"N": 3, "n": 6, "model": {"type": "file", "path": str(path)}})
+    assert cplx.group_omegas.dtype == complex and len(cplx.group_mult) == 2
+    solve_deltas(cplx, 1.0 + 0.1j, x0=np.linspace(0.1, 1.0, 6) + 0.1j)
+    assert "group_omegas_complex" not in cplx.__dict__
+
+
+def test_complex_stack_cache_concurrent_first_use():
+    z = 1.0 + 0.1j
+    serial = solve_deltas(build_exponential(8, 30, [0.2, 0.5, 0.9] * 10), z).delta.tobytes()
+    mismatches = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        for _ in range(5):
+            ens = build_exponential(8, 30, [0.2, 0.5, 0.9] * 10)
+            start = threading.Barrier(8)
+
+            def solve():
+                start.wait(timeout=60)
+                if solve_deltas(ens, z).delta.tobytes() != serial:
+                    mismatches.append(1)
+
+            threads = [threading.Thread(target=solve) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert not ens.group_omegas_complex.flags.writeable
+    finally:
+        sys.setswitchinterval(interval)
+    assert mismatches == []
+
+
+# sha256 of solve_deltas and density outputs on real multi-group ensembles at
+# complex z, recorded while the solver still cast the real covariance stack to
+# complex on every sweep; a cached complex stack must reproduce them bit for bit
+COMPLEX_STACK_GOLDEN = {
+    "toeplitz_g3": ("4cdf86cc4023befc79cc64bde8f45a3ba9e4d4f042683c93953f2bcd595db38d",
+                    "4b1d348397e4348607cdd737cb1be3f14fdb3d3c0f803e83659e05c1d7abdf72"),
+    "distinct": ("97040a63bfed5cd8f5c01cf56118dce61b49528cea59a4cce67b130af03e58e4",
+                 "d7e9e44dd01044100c68da08598a95a165dad3a66d06be9117cf8219124ca028"),
+}
+
+
+def _complex_stack_ensembles():
+    return {
+        "toeplitz_g3": build_exponential(8, 30, [0.2, 0.5, 0.9] * 10),
+        "distinct": build_exponential(8, 32, np.linspace(0.0, 0.9, 32)),
+    }
+
+
+def _solve_digest(ens):
+    h = hashlib.sha256()
+    # the last start is not constant on the groups of the G = 3 ensemble
+    x0 = np.linspace(0.1, 2.0, ens.n) * (1.0 + 0.5j)
+    for z, start in ((1.0 + 0.1j, None), (2.5 + 0.01j, None), (1.0 + 0.1j, x0)):
+        sol = solve_deltas(ens, z, x0=start)
+        h.update(sol.delta.tobytes())
+        h.update(sol.T.tobytes())
+        h.update(repr((sol.m, sol.iterations, sol.residual)).encode())
+    return h.hexdigest()
+
+
+def _density_digest(ens, workers):
+    curve = density(ens, 0.05, 4.0, 40, y=1e-2, workers=workers)
+    h = hashlib.sha256(curve.ys.tobytes())
+    h.update(repr((curve.mass, curve.diagnostics)).encode())
+    return h.hexdigest()
+
+
+def test_complex_stack_golden():
+    for name, ens in _complex_stack_ensembles().items():
+        assert _solve_digest(ens) == COMPLEX_STACK_GOLDEN[name][0], name
+    # fresh ensembles: at two workers both threads reach the cache first
+    for workers in (1, 2):
+        for name, ens in _complex_stack_ensembles().items():
+            assert _density_digest(ens, workers) == COMPLEX_STACK_GOLDEN[name][1], (name, workers)
 
 
 def test_monotone_in_p(exp64):
