@@ -20,7 +20,8 @@ import numpy as np
 from . import algebra, sampler, spectrum
 from .errors import ConfigError, GapViolation, SignalBelowNoise, SpecgapError
 from .formats import fmt, write_json as _write_json
-from .model import config_number as _number, ensemble_from_config
+from .model import (check_config_keys as _check_keys, config_number as _number,
+                    ensemble_from_config)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -43,14 +44,6 @@ def _load_config(path) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top-level config must be an object")
     return cfg
-
-
-def _take(cfg: dict, allowed: set, where: str) -> None:
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
 
 
 def _require(cfg: dict, key: str, where: str):
@@ -80,10 +73,10 @@ def _outdir(args) -> Path:
 
 def cmd_density(args) -> int:
     cfg = _load_config(args.config)
-    _take(cfg, {"ensemble", "grid", "y", "tol", "max_iter", "seed"}, "density")
+    _check_keys(cfg, {"ensemble", "grid", "y", "tol", "max_iter", "seed"}, "density")
     ens = ensemble_from_config(_require(cfg, "ensemble", "density"))
     grid = _require(cfg, "grid", "density")
-    _take(grid, {"lo", "hi", "steps"}, "grid")
+    _check_keys(grid, {"lo", "hi", "steps"}, "grid")
     curve = spectrum.density(
         ens,
         _number(float, _require(grid, "lo", "grid"), "grid.lo"),
@@ -107,7 +100,7 @@ def cmd_density(args) -> int:
 
 
 def _support_kwargs(cfg: dict, where: str) -> dict:
-    _take(cfg, {"x_hi", "steps", "y", "threshold", "solver_tol"}, where)
+    _check_keys(cfg, {"x_hi", "steps", "y", "threshold", "solver_tol"}, where)
     kw = {"steps": 400, "y": 1e-5, "threshold": 1e-3, **cfg}
     return {key: _number(int if key == "steps" else float, value, f"{where}.{key}")
             for key, value in kw.items()}
@@ -127,7 +120,7 @@ def cmd_support(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _load_config(args.config)
-    _take(cfg, {"ensemble", "trials", "seed", "test_interval", "support"}, "verify")
+    _check_keys(cfg, {"ensemble", "trials", "seed", "test_interval", "support"}, "verify")
     ens = ensemble_from_config(_require(cfg, "ensemble", "verify"))
     trials = _number(int, _require(cfg, "trials", "verify"), "verify.trials")
     seed = _seed(args, cfg, "verify")
@@ -165,7 +158,7 @@ def cmd_verify(args) -> int:
 
 
 def _build_family(cfg: dict):
-    _take(cfg, {"Ns", "n_ratio", "model"}, "family")
+    _check_keys(cfg, {"Ns", "n_ratio", "model"}, "family")
     Ns = _require(cfg, "Ns", "family")
     ratio = _number(int, _require(cfg, "n_ratio", "family"), "family.n_ratio")
     model = _require(cfg, "model", "family")
@@ -181,8 +174,8 @@ def _family_member(model: dict, N: int, n: int):
 
 def cmd_scaling(args) -> int:
     cfg = _load_config(args.config)
-    _take(cfg, {"family", "z", "trials", "seed", "slope_threshold", "variance"},
-          "scaling")
+    _check_keys(cfg, {"family", "z", "trials", "seed", "slope_threshold", "variance"},
+                "scaling")
     family_cfg = _require(cfg, "family", "scaling")
     family = _build_family(family_cfg)
     z = _as_z(_require(cfg, "z", "scaling"), "scaling")
@@ -192,10 +185,11 @@ def cmd_scaling(args) -> int:
     vcfg = None
     if "variance" in cfg:
         vcfg = cfg["variance"]
-        _take(vcfg, {"z", "trials", "size_index", "double_n"}, "scaling.variance")
+        _check_keys(vcfg, {"z", "trials", "size_index", "double_n"}, "scaling.variance")
         vz = _as_z(_require(vcfg, "z", "scaling.variance"), "scaling.variance")
         vtrials = _number(int, _require(vcfg, "trials", "scaling.variance"),
                           "scaling.variance.trials")
+        sampler.check_spread_trials(vtrials)
         size_index = _number(int, vcfg.get("size_index", 0), "scaling.variance.size_index")
         if not -len(family) <= size_index < len(family):
             raise ConfigError(f"scaling.variance.size_index {size_index} is out of range "
@@ -245,7 +239,7 @@ def cmd_scaling(args) -> int:
 
 def cmd_selftest(args) -> int:
     cfg = _load_config(args.config) if args.config else {}
-    _take(cfg, {"witnesses", "triples", "hermitian_draws", "size", "seed"}, "selftest")
+    _check_keys(cfg, {"witnesses", "triples", "hermitian_draws", "size", "seed"}, "selftest")
     witnesses = _number(int, cfg.get("witnesses", 500), "selftest.witnesses")
     triples = _number(int, cfg.get("triples", 1000), "selftest.triples")
     herm = _number(int, cfg.get("hermitian_draws", 1000), "selftest.hermitian_draws")

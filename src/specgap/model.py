@@ -9,12 +9,12 @@ from 0 and infinity uniformly over columns.
 Columns with byte-identical covariances form a group.  An ensemble is
 stored as its G distinct covariances and the column -> group index, so a
 structured ensemble with G << n distinct covariances costs G matrices,
-not n; the (n, N, N) stack is built only when asked for.
+not n; the (n, N, N) stack is built only when asked for.  An ensemble
+is validated when it is constructed, so one that exists is admissible.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,28 +71,51 @@ def _check_hermitian(omega, what="matrix", index=None):
 
 @dataclass(frozen=True)
 class CorrelationEnsemble:
-    """Immutable bundle of per-column covariances, stored by distinct covariance.
+    """Validated, immutable bundle of per-column covariances, stored by distinct covariance.
 
-    ``group_omegas`` is a read-only (G, N, N) array of the distinct
-    covariances, ordered by the first column that uses each, and
-    ``group_index`` the read-only length-n map from column to group.  Square
-    roots, eigendecompositions, the full stack and a complex copy of
-    ``group_omegas`` are computed lazily and cached, so a constructed
-    ensemble is safe to share across workers.
+    ``group_omegas`` is the (G, N, N) array of the distinct covariances,
+    ordered by the first column that uses each, and ``group_index`` the
+    length-n integer map from column to group, which must use every group.
+    Construction is the one place an ensemble is checked: it makes both
+    arrays read-only in place and sets N, n, c and w_min/w_max through
+    ``validate``.  Square roots, eigenvalues, the full stack and a complex
+    copy of ``group_omegas`` are computed lazily and cached, so a
+    constructed ensemble is safe to share across workers.
     """
 
     group_omegas: np.ndarray
     group_index: np.ndarray
-    w_min: float
-    w_max: float
     N: int = field(init=False)
     n: int = field(init=False)
     c: float = field(init=False)
+    w_min: float = field(init=False)
+    w_max: float = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "N", self.group_omegas.shape[1])
-        object.__setattr__(self, "n", len(self.group_index))
-        object.__setattr__(self, "c", self.N / self.n)
+        omegas = np.asarray(self.group_omegas)
+        index = np.asarray(self.group_index)
+        if omegas.ndim != 3 or omegas.shape[1] != omegas.shape[2]:
+            raise DimensionError(f"group_omegas must be a (G, N, N) stack, "
+                                 f"got shape {omegas.shape}")
+        if index.ndim != 1 or not np.issubdtype(index.dtype, np.integer):
+            raise DimensionError(f"group_index must be a 1-D integer array, got "
+                                 f"shape {index.shape} of {index.dtype}")
+        G = len(omegas)
+        # bincount, not np.unique: numpy's first quicksort pages in ~1.5 MiB of
+        # SIMD sort code, which shows in peak RSS
+        uses_all = (index.size and 0 <= index.min() and index.max() < G and
+                    np.count_nonzero(np.bincount(index.astype(np.intp), minlength=G)) == G)
+        if not uses_all:
+            raise DimensionError(f"group_index must map the columns onto all of "
+                                 f"groups 0..{G - 1} and nothing else")
+        omegas.setflags(write=False)
+        index.setflags(write=False)
+        for name, value in (("group_omegas", omegas), ("group_index", index),
+                            ("N", omegas.shape[1]), ("n", len(index))):
+            object.__setattr__(self, name, value)
+        w_min, w_max = validate(self)
+        for name, value in (("c", self.N / self.n), ("w_min", w_min), ("w_max", w_max)):
+            object.__setattr__(self, name, value)
 
     @cached_property
     def group_thetas(self) -> np.ndarray:
@@ -128,15 +151,11 @@ class CorrelationEnsemble:
         return mult
 
     @cached_property
-    def group_eigh(self):
-        """Eigendecompositions of the distinct covariances (ascending)."""
-        evals = np.empty((len(self.group_mult), self.N))
-        evecs = np.empty((len(self.group_mult), self.N, self.N), dtype=self.group_omegas.dtype)
-        for g, om in enumerate(self.group_omegas):
-            evals[g], evecs[g] = np.linalg.eigh(om)
-        evals.setflags(write=False)
-        evecs.setflags(write=False)
-        return evals, evecs
+    def group_eigenvalues(self) -> np.ndarray:
+        """(G, N) ascending eigenvalues, from eigh: eigvalsh rounds differently."""
+        out = np.stack([np.linalg.eigh(om)[0] for om in self.group_omegas])
+        out.setflags(write=False)
+        return out
 
     @cached_property
     def group_columns(self) -> list:
@@ -144,32 +163,19 @@ class CorrelationEnsemble:
         return [np.flatnonzero(self.group_index == g)
                 for g in range(len(self.group_mult))]
 
-    @cached_property
-    def ensemble_id(self) -> str:
-        """Digest of the per-column stack's bytes, hashed one column at a time."""
-        h = hashlib.sha1()
-        group_bytes = [om.tobytes() for om in self.group_omegas]
-        for g in self.group_index:
-            h.update(group_bytes[g])
-        return h.hexdigest()[:12]
-
     def expand(self, group_values: np.ndarray) -> np.ndarray:
         """Broadcast per-group values back to per-column (length n)."""
         return np.asarray(group_values)[self.group_index]
 
 
-def _from_candidates(candidates, column_candidate,
-                     w_min_tol: float = WMIN_TOLERANCE) -> CorrelationEnsemble:
-    """Build and validate an ensemble from candidate covariances.
+def _from_candidates(candidates, column_candidate) -> CorrelationEnsemble:
+    """Build an ensemble from candidate covariances.
 
     Column i has covariance ``candidates[column_candidate[i]]``, and every
     candidate must be used by some column.  Byte-identical candidates merge
     into one group, since columns with equal covariances share one
     fixed-point unknown; groups are ordered by their first column.
     """
-    N, n = candidates.shape[1], len(column_candidate)
-    if not 0 < N < n:
-        raise DimensionError(f"require 0 < N < n, got N={N}, n={n}")
     if np.iscomplexobj(candidates) and not np.any(candidates.imag):
         candidates = candidates.real
     _, first_column = np.unique(column_candidate, return_index=True)
@@ -181,37 +187,31 @@ def _from_candidates(candidates, column_candidate,
         if g == len(reps):
             reps.append(k)
         group_of[k] = g
-    group_omegas = np.ascontiguousarray(candidates[reps])
-    group_index = group_of[column_candidate]
-    group_omegas.setflags(write=False)
-    group_index.setflags(write=False)
-    ens = CorrelationEnsemble(group_omegas=group_omegas, group_index=group_index,
-                              w_min=np.nan, w_max=np.nan)
-    w_min, w_max = validate(ens, w_min_tol=w_min_tol)
-    object.__setattr__(ens, "w_min", w_min)
-    object.__setattr__(ens, "w_max", w_max)
-    return ens
+    return CorrelationEnsemble(group_omegas=np.ascontiguousarray(candidates[reps]),
+                               group_index=group_of[column_candidate])
 
 
-def from_matrices(omegas, w_min_tol: float = WMIN_TOLERANCE) -> CorrelationEnsemble:
+def from_matrices(omegas) -> CorrelationEnsemble:
     """Build and validate an ensemble from n covariance matrices."""
     omegas = np.asarray(omegas)
     if omegas.ndim != 3 or omegas.shape[1] != omegas.shape[2]:
         raise DimensionError(f"expected (n, N, N) stack, got shape {omegas.shape}")
-    return _from_candidates(omegas, np.arange(omegas.shape[0]), w_min_tol)
+    return _from_candidates(omegas, np.arange(omegas.shape[0]))
 
 
-def validate(ensemble: CorrelationEnsemble, w_min_tol: float = WMIN_TOLERANCE):
-    """Check Hermiticity and eigenvalue bounds of every covariance.
+def _check_dimensions(N: int, n: int) -> None:
+    if not 0 < N < n:
+        raise DimensionError(f"require 0 < N < n, got N={N}, n={n}")
+
+
+def validate(ensemble: CorrelationEnsemble):
+    """Check 0 < N < n, Hermiticity and eigenvalue bounds of every covariance.
 
     Returns (w_min, w_max) over all columns; raises AssumptionViolation
     naming the offending column if some Omega_i is non-Hermitian or has an
-    eigenvalue at or below ``w_min_tol``.
+    eigenvalue at or below WMIN_TOLERANCE.
     """
-    if not 0 < ensemble.N < ensemble.n:
-        raise DimensionError(
-            f"require 0 < N < n, got N={ensemble.N}, n={ensemble.n}"
-        )
+    _check_dimensions(ensemble.N, ensemble.n)
     w_min = np.inf
     w_max = -np.inf
     # eigenvalues are shared within a group; validate per group but report
@@ -220,10 +220,10 @@ def validate(ensemble: CorrelationEnsemble, w_min_tol: float = WMIN_TOLERANCE):
     for g, om in enumerate(ensemble.group_omegas):
         _check_hermitian(om, what="covariance", index=first_col[g])
         evals = np.linalg.eigvalsh(om)
-        if evals[0] <= w_min_tol:
+        if evals[0] <= WMIN_TOLERANCE:
             raise AssumptionViolation(
                 f"covariance at column {first_col[g]} has smallest eigenvalue "
-                f"{evals[0]:.3e} <= {w_min_tol:.0e}; w_min > 0 is required",
+                f"{evals[0]:.3e} <= {WMIN_TOLERANCE:.0e}; w_min > 0 is required",
                 index=first_col[g],
             )
         w_min = min(w_min, float(evals[0]))
@@ -233,8 +233,7 @@ def validate(ensemble: CorrelationEnsemble, w_min_tol: float = WMIN_TOLERANCE):
 
 def build_identity(N: int, n: int) -> CorrelationEnsemble:
     """All covariances equal to I_N (the classical uncorrelated case)."""
-    if not 0 < N < n:
-        raise DimensionError(f"require 0 < N < n, got N={N}, n={n}")
+    _check_dimensions(N, n)  # np.eye(N) would raise a bare ValueError at N < 0
     return _from_candidates(np.eye(N)[None], np.zeros(n, dtype=np.intp))
 
 
@@ -243,8 +242,7 @@ def build_exponential(N: int, n: int, rhos) -> CorrelationEnsemble:
 
     Each rho_i must lie in [0, 1); rho_i = 0 gives the identity.
     """
-    if not 0 < N < n:
-        raise DimensionError(f"require 0 < N < n, got N={N}, n={n}")
+    _check_dimensions(N, n)  # before N x N candidates are allocated
     rhos = np.asarray(rhos, dtype=float)
     if rhos.shape != (n,):
         raise DimensionError(f"need exactly n={n} correlation coefficients, got {rhos.shape}")
@@ -301,6 +299,15 @@ def config_number(kind, value, name: str):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
+def check_config_keys(section, allowed: set, where: str) -> None:
+    """ConfigError unless ``section`` is a JSON object with keys in ``allowed``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(section) - allowed
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+
+
 def ensemble_from_config(config: dict) -> CorrelationEnsemble:
     """Build an ensemble from its JSON configuration.
 
@@ -308,12 +315,7 @@ def ensemble_from_config(config: dict) -> CorrelationEnsemble:
     "exponential" | "file", "rho": [floats], "path": "..."}}.  For the
     exponential model a rho list shorter than n is cycled.
     """
-    if not isinstance(config, dict):
-        raise ConfigError("ensemble must be a JSON object")
-    allowed = {"N", "n", "model"}
-    unknown = set(config) - allowed
-    if unknown:
-        raise ConfigError(f"unknown ensemble config keys: {sorted(unknown)}")
+    check_config_keys(config, {"N", "n", "model"}, "ensemble config")
     try:
         N = config_number(int, config["N"], "ensemble.N")
         n = config_number(int, config["n"], "ensemble.n")
@@ -324,10 +326,10 @@ def ensemble_from_config(config: dict) -> CorrelationEnsemble:
         raise ConfigError("ensemble config needs model.type")
     kind = model["type"]
     if kind == "identity":
-        _reject_unknown(model, {"type"})
+        check_config_keys(model, {"type"}, "model config")
         return build_identity(N, n)
     if kind == "exponential":
-        _reject_unknown(model, {"type", "rho"})
+        check_config_keys(model, {"type", "rho"}, "model config")
         rho = model.get("rho")
         if not isinstance(rho, (list, tuple)):
             raise ConfigError("exponential model requires a rho list")
@@ -337,15 +339,9 @@ def ensemble_from_config(config: dict) -> CorrelationEnsemble:
         rhos = [rho[i % len(rho)] for i in range(n)]
         return build_exponential(N, n, rhos)
     if kind == "file":
-        _reject_unknown(model, {"type", "path"})
+        check_config_keys(model, {"type", "path"}, "model config")
         path = model.get("path")
         if not path:
             raise ConfigError("file model requires a path")
         return from_matrices(load_omegas(path, N, n))
     raise ConfigError(f"unknown ensemble model type {kind!r}")
-
-
-def _reject_unknown(mapping, allowed):
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown model config keys: {sorted(unknown)}")

@@ -37,7 +37,6 @@ _thread = threading.local()  # .generator: this thread's re-keyed Philox generat
 class TrialBatch:
     """Eigenvalue sets of (1/n) Sigma Sigma* across reproducible trials."""
 
-    ensemble_id: str
     seeds: np.ndarray  # uint64, one per trial
     eigenvalue_sets: np.ndarray  # (trials, N), each row ascending
     lambda_min: np.ndarray  # (trials,)
@@ -150,6 +149,12 @@ def gram_eigenvalues(sigma: np.ndarray) -> np.ndarray:
     return np.clip(evals, 0.0, None)
 
 
+def check_spread_trials(trials: int) -> None:
+    """A sample spread needs two draws: reject fewer before any sampling."""
+    if trials < 2:
+        raise DomainError(f"trials must be >= 2 for a sample spread, got {trials}")
+
+
 def _trials(ensemble, statistic, trials, seed0, workers):
     """statistic(draw) for each trial's sample_matrix draw, in trial order.
 
@@ -193,7 +198,6 @@ def monte_carlo_gap(ensemble: CorrelationEnsemble, trials: int, seed0: int,
         a, b = test_interval
         counts = ((eigs >= a) & (eigs <= b)).sum(axis=1)
     batch = TrialBatch(
-        ensemble_id=ensemble.ensemble_id,
         seeds=seeds,
         eigenvalue_sets=eigs,
         lambda_min=lam_min,
@@ -234,6 +238,7 @@ def bias_scaling(ensemble_family, z, trials: int, seed0: int = 0,
     interpolation interval, and the error of m(z) itself.  Every other
     ensemble uses the plain mean of (1/N) tr Q(z).
     """
+    check_spread_trials(trials)
     family = list(ensemble_family)
     if len(family) < 3:
         raise DomainError(f"need at least 3 sizes for a rate fit, got {len(family)}")
@@ -285,6 +290,7 @@ def variance_scaling(ensemble: CorrelationEnsemble, A, z, trials: int,
     distance from z to the nonnegative axis (equal to |Im z| off the real
     axis).  The measured value must stay below it.
     """
+    check_spread_trials(trials)
     z = validate_spectral_point(z)
     A = np.asarray(A)
     if A.shape != (ensemble.N, ensemble.N):
@@ -302,7 +308,7 @@ def variance_scaling(ensemble: CorrelationEnsemble, A, z, trials: int,
 
     _, samples = _trials(ensemble, trace, trials, seed0, workers)
     mean = samples.mean()
-    measured = float(np.sum(np.abs(samples - mean) ** 2) / max(len(samples) - 1, 1))
+    measured = float(np.sum(np.abs(samples - mean) ** 2) / (len(samples) - 1))
     proxy = z.imag == 0.0
     dist = abs(z.real) if proxy else abs(z.imag)
     norm_a = float(np.linalg.norm(A, 2)) if A.size else 0.0

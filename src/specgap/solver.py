@@ -15,7 +15,7 @@ on the collapsed group coordinates, which reproduces the full iteration
 exactly while cutting the per-sweep cost from n to G traces.  One Picard
 loop serves every solve.  Its sweep map is built once per spectral point:
 with a single distinct covariance it is an O(N) formula in the cached
-eigenbasis, otherwise one bulk inverse followed by the G group traces.
+eigenvalues, otherwise one bulk inverse followed by the G group traces.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _sweep_map(ensemble, z):
     real = not isinstance(z, complex)  # Hermitian covariances: real traces
     n = ensemble.n
     if len(ensemble.group_mult) == 1:
-        lam = ensemble.group_eigh[0][0]
+        lam = ensemble.group_eigenvalues[0]
         scale = ensemble.group_mult[0] / n
 
         def sweep(x):
@@ -152,6 +152,8 @@ def _sweep_map(ensemble, z):
 
 def _iterate_groups(ensemble, x0_groups, z, tol, max_iter, damping, cap=None):
     """Damped Picard sweep on group coordinates until the update norm < tol."""
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     sweep = _sweep_map(ensemble, z)
     # a single group iterates on a numpy scalar: array reductions would
     # cost more than its O(N) sweep

@@ -250,10 +250,16 @@ SCALING = {"family": {"Ns": [4, 8, 16], "n_ratio": 4, "model": {"type": "identit
     ("scaling", {**SCALING, "family": 5}),
     # double_n is a JSON boolean, not any truthy value
     ("scaling", {**SCALING, "variance": {"z": [0.0, 1.0], "trials": 10, "double_n": "no"}}),
+    # the Picard loop needs a sweep, and a sample spread needs two draws
+    ("density", {"ensemble": IDENT16, "grid": {"lo": 0.0, "hi": 3.0, "steps": 10},
+                 "max_iter": 0}),
+    ("scaling", {**SCALING, "trials": 1}),
+    ("scaling", {**SCALING, "variance": {"z": [0.0, 1.0], "trials": 1}}),
 ], ids=["steps", "test_interval", "N", "rho", "size_index",
         "steps_fractional", "N_fractional", "trials_bool",
         "ensemble_not_object", "grid_not_object", "variance_not_object",
-        "family_not_object", "double_n_string"])
+        "family_not_object", "double_n_string", "max_iter_zero",
+        "trials_one", "variance_trials_one"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, command, payload):
     cfg = write_cfg(tmp_path, payload)
     assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 2

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specgap import (
+    CorrelationEnsemble,
     build_exponential,
     build_identity,
     ensemble_from_config,
@@ -125,6 +126,43 @@ def test_ensemble_immutable_and_cached(exp_small):
         assert np.linalg.norm(rec - om) <= 1e-10 * np.linalg.norm(om)
 
 
+def test_constructor_validates_covariances():
+    # an indefinite covariance (eigenvalues -1 and 3) cannot be constructed
+    with pytest.raises(AssumptionViolation):
+        CorrelationEnsemble(group_omegas=np.array([[[1.0, 2.0], [2.0, 1.0]]]),
+                            group_index=np.zeros(8, dtype=np.intp))
+    with pytest.raises(DimensionError):
+        CorrelationEnsemble(group_omegas=np.eye(4)[None], group_index=np.zeros(4, dtype=np.intp))
+
+
+@pytest.mark.parametrize("group_index", [
+    [0, 1, 0, 2],  # an entry past G = 2
+    [0, -1, 0, 1],
+    [0, 0, 0, 0],  # group 1 used by no column
+    [0.0, 1.0, 0.0, 1.0],  # not an integer map
+    [[0, 1], [0, 1]],  # not 1-D
+], ids=["past_G", "negative", "unused_group", "float", "not_1d"])
+def test_constructor_rejects_bad_group_index(group_index):
+    with pytest.raises(DimensionError):
+        CorrelationEnsemble(group_omegas=np.stack([np.eye(2), 2.0 * np.eye(2)]),
+                            group_index=np.array(group_index))
+
+
+def test_constructor_sets_bounds_and_freezes_arrays(exp_small):
+    with pytest.raises(TypeError):
+        CorrelationEnsemble(group_omegas=np.eye(2)[None], group_index=np.zeros(3, dtype=np.intp),
+                            w_min=1.0, w_max=1.0)
+    omegas = np.array(exp_small.group_omegas)
+    index = np.array(exp_small.group_index)
+    ens = CorrelationEnsemble(group_omegas=omegas, group_index=index)
+    assert (ens.N, ens.n, ens.c) == (exp_small.N, exp_small.n, exp_small.c)
+    assert (ens.w_min, ens.w_max) == (exp_small.w_min, exp_small.w_max)
+    with pytest.raises(ValueError):
+        ens.group_omegas[0, 0, 0] = 2.0
+    with pytest.raises(ValueError):
+        ens.group_index[0] = 0
+
+
 def test_grouping_collapses_duplicates():
     ens = build_exponential(4, 9, [(0.1, 0.6, 0.6)[i % 3] for i in range(9)])
     assert len(ens.group_mult) == 2
@@ -151,7 +189,6 @@ def test_builders_group_like_from_matrices(build, groups):
     assert ens.group_omegas.dtype == ref.group_omegas.dtype
     assert ens.group_omegas.tobytes() == ref.group_omegas.tobytes()
     assert (ens.w_min, ens.w_max) == (ref.w_min, ref.w_max)
-    assert ens.ensemble_id == ref.ensemble_id
 
 
 def test_config_identity_and_exponential_cycling():

@@ -18,7 +18,7 @@ from specgap import (
     sample_matrix,
     variance_scaling,
 )
-from specgap import moments
+from specgap import moments, sampler
 from specgap.errors import DimensionError, DomainError, SignalBelowNoise
 from specgap.sampler import resolvent_trace_samples, trial_seeds, write_trials_csv
 from specgap.solver import m_of_z
@@ -233,6 +233,19 @@ def test_bias_scaling_preconditions(identity64):
     mixed = [build_identity(8, 32), build_identity(16, 48), build_identity(32, 128)]
     with pytest.raises(DomainError):
         bias_scaling(mixed, -1.0, 100)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_spread_statistics_need_two_trials(monkeypatch, trials):
+    def no_draws(*args):
+        raise AssertionError("sampled before the trial count was checked")
+
+    monkeypatch.setattr(sampler, "sample_matrix", no_draws)
+    family = [build_identity(N, 4 * N) for N in (4, 8, 16)]
+    with pytest.raises(DomainError):
+        bias_scaling(family, -1.0, trials)
+    with pytest.raises(DomainError):
+        variance_scaling(family[0], np.eye(4), 2j, trials)
 
 
 def test_bias_scaling_noise_dominated():

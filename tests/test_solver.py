@@ -132,7 +132,6 @@ def test_grouped_ensemble_never_builds_stack():
     solve_at_zero(ens)
     detect_support(ens, steps=40, y=1e-3, threshold=1e-2)
     sample_matrix(ens, 7)
-    assert ens.ensemble_id
     assert "omegas" not in ens.__dict__
     assert "group_omegas_complex" not in ens.__dict__
 
@@ -259,6 +258,16 @@ def test_non_convergence_error(request, name):
     with pytest.raises(ConvergenceError) as err:
         solve_deltas(request.getfixturevalue(name), -1.0, max_iter=2, tol=1e-15)
     assert err.value.residual is not None
+
+
+@pytest.mark.parametrize("name", ["identity64", "exp64"])
+def test_max_iter_below_one_is_domain_error(request, name):
+    ens = request.getfixturevalue(name)
+    for max_iter in (0, -1):
+        with pytest.raises(DomainError):
+            solve_deltas(ens, -1.0, max_iter=max_iter)
+        with pytest.raises(DomainError):
+            solve_at_zero(ens, max_iter=max_iter)
 
 
 def test_single_group_sweep_matches_bulk_kernel():
