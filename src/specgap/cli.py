@@ -1,11 +1,15 @@
 """Command-line front end.
 
 Subcommands: density, support, verify, scaling, selftest.  Every run is
-driven by an explicit JSON config (no environment overrides); unknown
-config keys are fatal.  density and support draw nothing at random: they
-accept a ``seed`` key and ignore it.  Exit codes are a stable contract:
-0 ok, 2 config error, 3 numerical failure, 4 verification failure,
-5 statistically inconclusive.
+driven by an explicit JSON config (no environment overrides).  Each
+command declares the spec of its config inline and reads the whole config
+with one ``model.read_config`` call, before any work: unknown keys,
+missing keys and values of the wrong kind are config errors there, and
+range checks stay in the library.  The --out directory is made right
+after the config is read.  density and support draw nothing at random:
+they accept a ``seed`` key with any value and ignore it.  Exit codes are
+a stable contract: 0 ok, 2 config error, 3 numerical failure,
+4 verification failure, 5 statistically inconclusive.
 """
 
 from __future__ import annotations
@@ -20,8 +24,7 @@ import numpy as np
 from . import algebra, sampler, spectrum
 from .errors import ConfigError, GapViolation, SignalBelowNoise, SpecgapError
 from .formats import fmt, write_json as _write_json
-from .model import (check_config_keys as _check_keys, config_number as _number,
-                    ensemble_from_config)
+from .model import REQUIRED, ensemble_from_config, read_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -30,68 +33,57 @@ EXIT_VERIFY = 4
 EXIT_INCONCLUSIVE = 5
 
 
-def _load_config(path) -> dict:
+def _load_config(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:
-        cfg = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: JSON parse error at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top-level config must be an object")
-    return cfg
 
 
-def _require(cfg: dict, key: str, where: str):
-    if key not in cfg:
-        raise ConfigError(f"{where} config requires {key!r}")
-    return cfg[key]
-
-
-def _as_z(value, where: str) -> complex:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ConfigError(f"{where}: z must be a [re, im] pair")
-    return complex(_number(float, value[0], f"{where}.z"), _number(float, value[1], f"{where}.z"))
-
-
-def _seed(args, cfg: dict, where: str) -> int:
-    """The --seed flag if given, else the config's seed (default 0)."""
-    if args.seed is not None:
-        return args.seed
-    return _number(int, cfg.get("seed", 0), f"{where}.seed")
+def _seed(args, cfg: dict) -> int:
+    """The --seed flag if given, else the config's seed."""
+    return cfg["seed"] if args.seed is None else args.seed
 
 
 def _outdir(args) -> Path:
+    """The --out directory, created if missing; called before any solve or draw."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # FileExistsError when --out is a file
+        raise ConfigError(f"--out {out} is not a usable directory: {exc}") from None
     return out
 
 
+# detect_support's keyword arguments, shared by support and verify.support
+_SUPPORT = {"x_hi": (float, None), "steps": (int, 400), "y": (float, 1e-5),
+            "threshold": (float, 1e-3), "solver_tol": (float, 1e-6)}
+
+
 def cmd_density(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"ensemble", "grid", "y", "tol", "max_iter", "seed"}, "density")
-    ens = ensemble_from_config(_require(cfg, "ensemble", "density"))
-    grid = _require(cfg, "grid", "density")
-    _check_keys(grid, {"lo", "hi", "steps"}, "grid")
-    curve = spectrum.density(
-        ens,
-        _number(float, _require(grid, "lo", "grid"), "grid.lo"),
-        _number(float, _require(grid, "hi", "grid"), "grid.hi"),
-        _number(int, _require(grid, "steps", "grid"), "grid.steps"),
-        y=_number(float, cfg.get("y", 1e-4), "density.y"),
-        tol=_number(float, cfg.get("tol", 1e-9), "density.tol"),
-        max_iter=_number(int, cfg.get("max_iter", 200000), "density.max_iter"),
-        workers=args.workers,
-    )
+    raw = _load_config(args.config)
+    cfg = read_config(raw, {
+        "ensemble": (dict, REQUIRED),
+        "grid": ({"lo": (float, REQUIRED), "hi": (float, REQUIRED), "steps": (int, REQUIRED)},
+                 REQUIRED),
+        "y": (float, 1e-4), "tol": (float, 1e-9), "max_iter": (int, 200000),
+        "seed": (None, None),
+    }, "density")
+    ens = ensemble_from_config(cfg["ensemble"])
     out = _outdir(args)
+    grid = cfg["grid"]
+    curve = spectrum.density(ens, grid["lo"], grid["hi"], grid["steps"], y=cfg["y"],
+                             tol=cfg["tol"], max_iter=cfg["max_iter"], workers=args.workers)
     spectrum.write_density_csv(curve, out / "density.csv")
     _write_json(out / "meta.json", {
         "command": "density",
-        "config": cfg,
+        "config": raw,
         "mass": curve.mass,
         "solver": curve.diagnostics,
     })
@@ -99,46 +91,34 @@ def cmd_density(args) -> int:
     return EXIT_OK
 
 
-def _support_kwargs(cfg: dict, where: str) -> dict:
-    _check_keys(cfg, {"x_hi", "steps", "y", "threshold", "solver_tol"}, where)
-    kw = {"steps": 400, "y": 1e-5, "threshold": 1e-3, **cfg}
-    return {key: _number(int if key == "steps" else float, value, f"{where}.{key}")
-            for key, value in kw.items()}
-
-
 def cmd_support(args) -> int:
-    cfg = _load_config(args.config)
-    kw = _support_kwargs({k: v for k, v in cfg.items() if k not in ("ensemble", "seed")},
-                         "support")
-    ens = ensemble_from_config(_require(cfg, "ensemble", "support"))
-    report = spectrum.detect_support(ens, workers=args.workers, **kw)
+    cfg = read_config(_load_config(args.config),
+                      {"ensemble": (dict, REQUIRED), "seed": (None, None), **_SUPPORT},
+                      "support")
+    ens = ensemble_from_config(cfg["ensemble"])
     out = _outdir(args)
+    report = spectrum.detect_support(ens, workers=args.workers,
+                                     **{key: cfg[key] for key in _SUPPORT})
     spectrum.write_support_json(report, out / "support.json")
     print(fmt(report.epsilon_at_zero))
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"ensemble", "trials", "seed", "test_interval", "support"}, "verify")
-    ens = ensemble_from_config(_require(cfg, "ensemble", "verify"))
-    trials = _number(int, _require(cfg, "trials", "verify"), "verify.trials")
-    seed = _seed(args, cfg, "verify")
-    support_kw = _support_kwargs(cfg.get("support", {}), "verify.support")
-    explicit_interval = None
-    if "test_interval" in cfg:
-        iv = cfg["test_interval"]
-        if not isinstance(iv, (list, tuple)) or len(iv) != 2:
-            raise ConfigError("verify: test_interval must be [a, b]")
-        explicit_interval = tuple(_number(float, v, "verify.test_interval") for v in iv)
-    report = spectrum.detect_support(ens, workers=args.workers, **support_kw)
+    cfg = read_config(_load_config(args.config), {
+        "ensemble": (dict, REQUIRED), "trials": (int, REQUIRED), "seed": (int, 0),
+        "test_interval": ([float, 2], None), "support": (_SUPPORT, {}),
+    }, "verify")
+    ens = ensemble_from_config(cfg["ensemble"])
+    out = _outdir(args)
+    trials, seed = cfg["trials"], _seed(args, cfg)
+    report = spectrum.detect_support(ens, workers=args.workers, **cfg["support"])
     eps = report.epsilon_at_zero
-    interval = explicit_interval if explicit_interval is not None else (0.0, eps / 2.0)
+    interval = cfg["test_interval"] or (0.0, eps / 2.0)
     batch, min_lam = sampler.monte_carlo_gap(ens, trials, seed,
                                              test_interval=interval,
                                              workers=args.workers)
     violations = int(batch.counts_in_interval.sum())
-    out = _outdir(args)
     sampler.write_trials_csv(batch, out / "trials.csv")
     _write_json(out / "verdict.json", {
         "epsilon_hat": eps,
@@ -157,48 +137,31 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _build_family(cfg: dict):
-    _check_keys(cfg, {"Ns", "n_ratio", "model"}, "family")
-    Ns = _require(cfg, "Ns", "family")
-    ratio = _number(int, _require(cfg, "n_ratio", "family"), "family.n_ratio")
-    model = _require(cfg, "model", "family")
-    if not isinstance(Ns, list) or not Ns:
-        raise ConfigError("family.Ns must be a nonempty list")
-    Ns = [_number(int, N, "family.Ns") for N in Ns]
-    return [_family_member(model, N, N * ratio) for N in Ns]
-
-
-def _family_member(model: dict, N: int, n: int):
-    return ensemble_from_config({"N": N, "n": n, "model": model})
-
-
 def cmd_scaling(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, {"family", "z", "trials", "seed", "slope_threshold", "variance"},
-                "scaling")
-    family_cfg = _require(cfg, "family", "scaling")
-    family = _build_family(family_cfg)
-    z = _as_z(_require(cfg, "z", "scaling"), "scaling")
-    trials = _number(int, _require(cfg, "trials", "scaling"), "scaling.trials")
-    seed = _seed(args, cfg, "scaling")
-    slope_threshold = _number(float, cfg.get("slope_threshold", -1.5), "scaling.slope_threshold")
-    vcfg = None
-    if "variance" in cfg:
-        vcfg = cfg["variance"]
-        _check_keys(vcfg, {"z", "trials", "size_index", "double_n"}, "scaling.variance")
-        vz = _as_z(_require(vcfg, "z", "scaling.variance"), "scaling.variance")
-        vtrials = _number(int, _require(vcfg, "trials", "scaling.variance"),
-                          "scaling.variance.trials")
-        sampler.check_spread_trials(vtrials)
-        size_index = _number(int, vcfg.get("size_index", 0), "scaling.variance.size_index")
-        if not -len(family) <= size_index < len(family):
-            raise ConfigError(f"scaling.variance.size_index {size_index} is out of range "
-                              f"for {len(family)} sizes")
-        double_n = vcfg.get("double_n", False)
-        if not isinstance(double_n, bool):
-            raise ConfigError(f"scaling.variance.double_n must be true or false, "
-                              f"got {double_n!r}")
-    report = sampler.bias_scaling(family, z, trials, seed0=seed, workers=args.workers)
+    cfg = read_config(_load_config(args.config), {
+        "family": ({"Ns": ([int], REQUIRED), "n_ratio": (int, REQUIRED),
+                    "model": (dict, REQUIRED)}, REQUIRED),
+        "z": ([float, 2], REQUIRED), "trials": (int, REQUIRED), "seed": (int, 0),
+        "slope_threshold": (float, -1.5),
+        "variance": ({"z": ([float, 2], REQUIRED), "trials": (int, REQUIRED),
+                      "size_index": (int, 0), "double_n": (bool, False)}, None),
+    }, "scaling")
+    fam, vcfg = cfg["family"], cfg["variance"]
+
+    def member(N, n):
+        return ensemble_from_config({"N": N, "n": n, "model": fam["model"]})
+
+    family = [member(N, N * fam["n_ratio"]) for N in fam["Ns"]]
+    trials, seed, slope_threshold = cfg["trials"], _seed(args, cfg), cfg["slope_threshold"]
+    if vcfg is not None:
+        # checked before the bias run, which takes most of the time
+        sampler.check_spread_trials(vcfg["trials"])
+        if not -len(family) <= vcfg["size_index"] < len(family):
+            raise ConfigError(f"scaling.variance.size_index {vcfg['size_index']} is out of "
+                              f"range for {len(family)} sizes")
+    out = _outdir(args)
+    report = sampler.bias_scaling(family, complex(*cfg["z"]), trials, seed0=seed,
+                                  workers=args.workers)
     payload = {
         "Ns": report.Ns,
         "bias": report.values,
@@ -211,7 +174,8 @@ def cmd_scaling(args) -> int:
         "seed": seed,
     }
     if vcfg is not None:
-        ens = family[size_index]
+        ens = family[vcfg["size_index"]]
+        vz, vtrials = complex(*vcfg["z"]), vcfg["trials"]
         check = sampler.variance_scaling(ens, np.eye(ens.N), vz, vtrials, seed0=seed,
                                          workers=args.workers)
         ventry = {
@@ -220,14 +184,12 @@ def cmd_scaling(args) -> int:
             "z": [vz.real, vz.imag],
             "trials": vtrials,
         }
-        if double_n:
-            doubled = _family_member(family_cfg["model"], ens.N, 2 * ens.n)
-            check2 = sampler.variance_scaling(doubled, np.eye(ens.N), vz, vtrials,
-                                              seed0=seed, workers=args.workers)
+        if vcfg["double_n"]:
+            check2 = sampler.variance_scaling(member(ens.N, 2 * ens.n), np.eye(ens.N), vz,
+                                              vtrials, seed0=seed, workers=args.workers)
             ventry["measured_var_doubled_n"] = check2.measured_var
             ventry["shrink_factor"] = check.measured_var / check2.measured_var
         payload["variance"] = ventry
-    out = _outdir(args)
     with open(out / "scaling.csv", "w") as fh:
         fh.write("N,bias,stderr\n")
         for N, b, s in zip(report.Ns, report.values, report.stderrs):
@@ -238,26 +200,24 @@ def cmd_scaling(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    _check_keys(cfg, {"witnesses", "triples", "hermitian_draws", "size", "seed"}, "selftest")
-    witnesses = _number(int, cfg.get("witnesses", 500), "selftest.witnesses")
-    triples = _number(int, cfg.get("triples", 1000), "selftest.triples")
-    herm = _number(int, cfg.get("hermitian_draws", 1000), "selftest.hermitian_draws")
-    size = _number(int, cfg.get("size", 12), "selftest.size")
-    seed = _seed(args, cfg, "selftest")
-    rng = np.random.default_rng(seed)
-    for _ in range(witnesses):
+    cfg = read_config(_load_config(args.config) if args.config else {}, {
+        "witnesses": (int, 500), "triples": (int, 1000), "hermitian_draws": (int, 1000),
+        "size": (int, 12), "seed": (int, 0),
+    }, "selftest")
+    size = cfg["size"]
+    rng = np.random.default_rng(_seed(args, cfg))
+    for _ in range(cfg["witnesses"]):
         w = algebra.random_positive_witness(rng, size, target_rho=float(rng.uniform(0.1, 0.95)))
         algebra.positive_system_bound(w)
-    print(f"positive-system witnesses: {witnesses} ok")
-    for _ in range(triples):
+    print(f"positive-system witnesses: {cfg['witnesses']} ok")
+    for _ in range(cfg["triples"]):
         A, B, C = algebra.random_dominance_triple(rng, size, target_rho=float(rng.uniform(0.2, 0.9)))
         algebra.hadamard_dominance(A, B, C)
-    print(f"hadamard-dominance triples: {triples} ok")
-    for _ in range(herm):
+    print(f"hadamard-dominance triples: {cfg['triples']} ok")
+    for _ in range(cfg["hermitian_draws"]):
         M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
         algebra.trace_jensen_gap(M + M.conj().T)
-    print(f"trace-jensen draws: {herm} ok")
+    print(f"trace-jensen draws: {cfg['hermitian_draws']} ok")
     return EXIT_OK
 
 

@@ -11,6 +11,10 @@ stored as its G distinct covariances and the column -> group index, so a
 structured ensemble with G << n distinct covariances costs G matrices,
 not n; the (n, N, N) stack is built only when asked for.  An ensemble
 is validated when it is constructed, so one that exists is admissible.
+
+Config sections are read by one function, ``read_config``, against a
+spec that each reader declares: ``ensemble_from_config`` here, and each
+CLI command for the rest of its config.
 """
 
 from __future__ import annotations
@@ -264,7 +268,10 @@ def build_exponential(N: int, n: int, rhos) -> CorrelationEnsemble:
 # interleaved (real, imag) pair of little-endian float64.
 
 def load_omegas(path, N: int, n: int) -> np.ndarray:
-    raw = np.fromfile(path, dtype="<f8")
+    try:
+        raw = np.fromfile(path, dtype="<f8")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read ensemble file: {exc}") from None
     expected = 2 * n * N * N
     if raw.size != expected:
         raise ConfigError(
@@ -299,13 +306,56 @@ def config_number(kind, value, name: str):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 
-def check_config_keys(section, allowed: set, where: str) -> None:
-    """ConfigError unless ``section`` is a JSON object with keys in ``allowed``."""
+REQUIRED = object()  # the spec default of a key that a section must give
+_KIND_NAMES = {bool: "true or false", str: "a nonempty string", dict: "a JSON object"}
+
+
+def read_config(section, spec: dict, where: str) -> dict:
+    """Read one JSON config section against its spec; every fault is a ConfigError.
+
+    ``spec`` maps each allowed key to ``(kind, default)``.  Unknown keys are
+    rejected.  A missing key is an error if its default is ``REQUIRED``,
+    None if its default is None, and otherwise takes its default, which is
+    read like a given value.  Kinds: ``int`` and ``float`` (through
+    ``config_number``), ``bool``, ``str`` (nonempty), ``dict`` (any JSON
+    object), a nested spec dict for a sub-section, ``[kind]`` or
+    ``[kind, length]`` for a nonempty list, and None for any value.
+    Errors name the dotted key, ``where.key``.
+    """
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = set(section) - allowed
+    unknown = set(section) - set(spec)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    out = {}
+    for key, (kind, default) in spec.items():
+        if key in section:
+            out[key] = _read_value(section[key], kind, f"{where}.{key}")
+        elif default is REQUIRED:
+            raise ConfigError(f"{where} requires {key!r}")
+        else:
+            out[key] = None if default is None else _read_value(default, kind, f"{where}.{key}")
+    return out
+
+
+def _read_value(value, kind, name: str):
+    if isinstance(kind, dict):
+        return read_config(value, kind, name)
+    if isinstance(kind, list):
+        if not isinstance(value, list) or not value or len(kind) == 2 and len(value) != kind[1]:
+            want = "a nonempty list" if len(kind) == 1 else f"a list of {kind[1]}"
+            raise ConfigError(f"{name} must be {want}, got {value!r}")
+        return [_read_value(v, kind[0], f"{name}[{i}]") for i, v in enumerate(value)]
+    if kind is int or kind is float:
+        return config_number(kind, value, name)
+    if kind is not None and (not isinstance(value, kind) or (kind is str and not value)):
+        raise ConfigError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return value
+
+
+# the keys each model type takes besides "type"
+_MODEL_KEYS = {"identity": {}, "exponential": {"rho": ([float], REQUIRED)},
+              "file": {"path": (str, REQUIRED)}}
 
 
 def ensemble_from_config(config: dict) -> CorrelationEnsemble:
@@ -315,33 +365,18 @@ def ensemble_from_config(config: dict) -> CorrelationEnsemble:
     "exponential" | "file", "rho": [floats], "path": "..."}}.  For the
     exponential model a rho list shorter than n is cycled.
     """
-    check_config_keys(config, {"N", "n", "model"}, "ensemble config")
-    try:
-        N = config_number(int, config["N"], "ensemble.N")
-        n = config_number(int, config["n"], "ensemble.n")
-        model = config["model"]
-    except KeyError as exc:
-        raise ConfigError(f"ensemble config missing key {exc}") from None
-    if not isinstance(model, dict) or "type" not in model:
-        raise ConfigError("ensemble config needs model.type")
-    kind = model["type"]
+    cfg = read_config(config, {"N": (int, REQUIRED), "n": (int, REQUIRED),
+                               "model": (dict, REQUIRED)}, "ensemble")
+    N, n, kind = cfg["N"], cfg["n"], cfg["model"].get("type")
+    # isinstance first: an unhashable type such as [] cannot be looked up
+    if not (isinstance(kind, str) and kind in _MODEL_KEYS):
+        raise ConfigError(f"ensemble.model.type must be one of {list(_MODEL_KEYS)}, "
+                          f"got {kind!r}")
+    model = read_config(cfg["model"], {"type": (str, REQUIRED), **_MODEL_KEYS[kind]},
+                        "ensemble.model")
     if kind == "identity":
-        check_config_keys(model, {"type"}, "model config")
         return build_identity(N, n)
     if kind == "exponential":
-        check_config_keys(model, {"type", "rho"}, "model config")
-        rho = model.get("rho")
-        if not isinstance(rho, (list, tuple)):
-            raise ConfigError("exponential model requires a rho list")
-        rho = [config_number(float, r, "model.rho") for r in rho]
-        if len(rho) == 0:
-            raise ConfigError("rho list must be nonempty")
-        rhos = [rho[i % len(rho)] for i in range(n)]
-        return build_exponential(N, n, rhos)
-    if kind == "file":
-        check_config_keys(model, {"type", "path"}, "model config")
-        path = model.get("path")
-        if not path:
-            raise ConfigError("file model requires a path")
-        return from_matrices(load_omegas(path, N, n))
-    raise ConfigError(f"unknown ensemble model type {kind!r}")
+        rho = model["rho"]
+        return build_exponential(N, n, [rho[i % len(rho)] for i in range(n)])
+    return from_matrices(load_omegas(model["path"], N, n))

@@ -69,9 +69,6 @@ class VarianceCheck:
     imag_distance: float
     distance_proxy_used: bool
 
-    def __iter__(self):  # unpacks as (measured_var, bound)
-        return iter((self.measured_var, self.bound))
-
 
 def _column_generator(seed: int, col: int) -> np.random.Generator:
     """The Philox stream keyed by (seed, col), from its start.

@@ -154,6 +154,8 @@ def _iterate_groups(ensemble, x0_groups, z, tol, max_iter, damping, cap=None):
     """Damped Picard sweep on group coordinates until the update norm < tol."""
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if not tol > 0:  # NaN too: no update norm is ever below it
+        raise DomainError(f"tol must be > 0, got {tol}")
     sweep = _sweep_map(ensemble, z)
     # a single group iterates on a numpy scalar: array reductions would
     # cost more than its O(N) sweep

@@ -255,12 +255,26 @@ SCALING = {"family": {"Ns": [4, 8, 16], "n_ratio": 4, "model": {"type": "identit
                  "max_iter": 0}),
     ("scaling", {**SCALING, "trials": 1}),
     ("scaling", {**SCALING, "variance": {"z": [0.0, 1.0], "trials": 1}}),
+    # a file model whose path is missing, a directory or not a string
+    ("support", {"ensemble": {**IDENT16, "model": {"type": "file", "path": "missing.bin"}}}),
+    ("support", {"ensemble": {**IDENT16, "model": {"type": "file", "path": "."}}}),
+    ("support", {"ensemble": {**IDENT16, "model": {"type": "file", "path": 7}}}),
+    # a tolerance no update norm can fall below
+    ("density", {"ensemble": IDENT16, "grid": {"lo": 0.0, "hi": 3.0, "steps": 3}, "tol": 0}),
+    ("density", {"ensemble": IDENT16, "grid": {"lo": 0.0, "hi": 3.0, "steps": 3},
+                 "tol": float("nan")}),
+    ("support", {"ensemble": IDENT16, "steps": 10, "solver_tol": -1e-6}),
+    # an unhashable model type
+    ("support", {"ensemble": {**IDENT16, "model": {"type": []}}}),
 ], ids=["steps", "test_interval", "N", "rho", "size_index",
         "steps_fractional", "N_fractional", "trials_bool",
         "ensemble_not_object", "grid_not_object", "variance_not_object",
         "family_not_object", "double_n_string", "max_iter_zero",
-        "trials_one", "variance_trials_one"])
-def test_bad_config_value_is_config_error(tmp_path, capsys, command, payload):
+        "trials_one", "variance_trials_one",
+        "path_missing", "path_directory", "path_not_string",
+        "tol_zero", "tol_nan", "solver_tol_negative", "model_type_list"])
+def test_bad_config_value_is_config_error(tmp_path, capsys, monkeypatch, command, payload):
+    monkeypatch.chdir(tmp_path)  # relative model paths resolve in tmp_path
     cfg = write_cfg(tmp_path, payload)
     assert run([command, "--config", cfg, "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
@@ -284,3 +298,39 @@ def test_workers_below_one_is_usage_error(tmp_path, capsys, workers):
 def test_missing_config_file(tmp_path):
     assert run(["support", "--config", str(tmp_path / "nope.json"),
                 "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("density", {"ensemble": IDENT16, "grid": {"lo": 0.0, "hi": 3.0, "steps": 10}}),
+    ("support", {"ensemble": IDENT16}),
+    ("verify", {"ensemble": IDENT16, "trials": 4}),
+    ("scaling", SCALING),
+], ids=["density", "support", "verify", "scaling"])
+def test_out_that_is_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                                   command, payload):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+
+    for module, name in ((cli.spectrum, "density"), (cli.spectrum, "detect_support"),
+                         (cli.sampler, "bias_scaling")):
+        monkeypatch.setattr(module, name, never)
+    cfg = write_cfg(tmp_path, payload)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run([command, "--config", cfg, "--out", str(out)]) == 2
+    assert "--out" in capsys.readouterr().err
+
+
+def test_meta_echoes_raw_config(tmp_path):
+    payload = {
+        "ensemble": IDENT16,
+        "grid": {"lo": 0.0, "hi": 3.0, "steps": 10},
+        "y": 1,
+        "seed": "x",
+    }
+    cfg = write_cfg(tmp_path, payload)
+    assert run(["density", "--config", cfg, "--out", str(tmp_path)]) == 0
+    echoed = json.loads((tmp_path / "meta.json").read_text())["config"]
+    assert echoed == payload
+    assert isinstance(echoed["y"], int)
+    assert echoed["seed"] == "x"

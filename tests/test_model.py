@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from specgap import (
     validate,
 )
 from specgap.errors import AssumptionViolation, ConfigError, DimensionError, DomainError
-from specgap.model import load_omegas, save_omegas
+from specgap.model import REQUIRED, load_omegas, read_config, save_omegas
 
 from helpers import random_psd
 
@@ -219,6 +221,52 @@ def test_config_file_size_mismatch(tmp_path):
     np.zeros(7).tofile(path)
     with pytest.raises(ConfigError):
         load_omegas(path, 2, 2)
+
+
+def test_config_file_unreadable(tmp_path):
+    for path in (tmp_path / "missing.bin", tmp_path):
+        with pytest.raises(ConfigError, match="cannot read ensemble file"):
+            load_omegas(path, 2, 4)
+
+
+SPEC = {
+    "n": (int, REQUIRED),
+    "x": (float, 0.5),
+    "flag": (bool, False),
+    "name": (str, None),
+    "z": ([float, 2], None),
+    "sub": ({"k": (int, 3)}, {}),
+    "any": (None, None),
+}
+
+
+def test_read_config_fills_defaults_and_converts():
+    assert read_config({"n": 4.0, "z": [1, 2]}, SPEC, "s") == {
+        "n": 4, "x": 0.5, "flag": False, "name": None, "z": [1.0, 2.0],
+        "sub": {"k": 3}, "any": None}
+    cfg = read_config({"n": 1, "x": 2, "flag": True, "name": "a", "sub": {"k": 5},
+                       "any": [{}]}, SPEC, "s")
+    assert (cfg["x"], cfg["flag"], cfg["name"], cfg["sub"], cfg["any"]) == \
+        (2.0, True, "a", {"k": 5}, [{}])
+    assert isinstance(cfg["x"], float)
+
+
+@pytest.mark.parametrize("section,names", [
+    (5, "s must be a JSON object"),
+    ({"n": 1, "typo": 0}, "unknown s keys: ['typo']"),
+    ({}, "s requires 'n'"),
+    ({"n": 1.5}, "s.n"),
+    ({"n": 1, "flag": 1}, "s.flag"),
+    ({"n": 1, "name": ""}, "s.name"),
+    ({"n": 1, "z": [1.0]}, "s.z"),
+    ({"n": 1, "z": [1.0, "b"]}, "s.z[1]"),
+    ({"n": 1, "sub": {"k": "many"}}, "s.sub.k"),
+    ({"n": 1, "sub": []}, "s.sub must be a JSON object"),
+], ids=["not_object", "unknown", "missing", "fractional", "bool", "empty_str",
+        "short_list", "list_item", "nested", "nested_not_object"])
+def test_read_config_errors_name_the_key(section, names):
+    with pytest.raises(ConfigError, match=re.escape(names)):
+        read_config(section, SPEC, "s")
 
 
 def test_config_strictness():

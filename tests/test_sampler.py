@@ -313,8 +313,7 @@ def test_variance_scaling_zero_matrix(identity64):
 
 def test_variance_scaling_bound_holds(identity64):
     check = variance_scaling(identity64, np.eye(64), 2j, 300, seed0=5)
-    measured, bound = check
-    assert measured <= bound
+    assert check.measured_var <= check.bound
     assert not check.distance_proxy_used
     assert check.imag_distance == 2.0
 

@@ -270,6 +270,16 @@ def test_max_iter_below_one_is_domain_error(request, name):
             solve_at_zero(ens, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("name", ["identity64", "exp64"])
+def test_tol_not_positive_is_domain_error(request, name):
+    ens = request.getfixturevalue(name)
+    for tol in (0.0, -1e-9, float("nan")):
+        with pytest.raises(DomainError):
+            solve_deltas(ens, -1.0, tol=tol)
+        with pytest.raises(DomainError):
+            solve_at_zero(ens, tol=tol)
+
+
 def test_single_group_sweep_matches_bulk_kernel():
     # one non-identity covariance: the solve runs the O(N) eigenbasis sweep,
     # while phi and the zero-point Jacobian go through the bulk inverse
