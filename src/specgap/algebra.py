@@ -17,6 +17,7 @@ from .errors import DomainError, DominanceError, InequalityViolation, WitnessErr
 INEQUALITY_SLACK = 1e-10
 RESIDUAL_TOL = 1e-12
 NORM_SLACK = 1e-8
+DOMINANCE_MARGIN = 0.05
 
 
 def spectral_radius(M: np.ndarray) -> float:
@@ -68,18 +69,18 @@ class PositiveSystemWitness:
         return float(np.max(np.abs(self.u - self.A @ self.u - self.v)))
 
 
-def positive_system_bound(witness: PositiveSystemWitness, residual_tol: float = RESIDUAL_TOL):
+def positive_system_bound(witness: PositiveSystemWitness):
     """Spectral-radius certificate from a positive linear system.
 
-    Validates the witness (residual below ``residual_tol``, strict
+    Validates the witness (residual below ``100 * RESIDUAL_TOL``, strict
     positivity of u and v, nonnegativity of A) and returns
     (rho(A), 1 - min(v)/max(u)); the radius never exceeds the bound.
     """
     A, u, v = np.asarray(witness.A), np.asarray(witness.u), np.asarray(witness.v)
     res = witness.residual()
-    if res >= residual_tol * 100:
+    if res >= RESIDUAL_TOL * 100:
         raise WitnessError(
-            f"witness residual {res:.3e} exceeds {residual_tol * 100:.0e}", residual=res
+            f"witness residual {res:.3e} exceeds {RESIDUAL_TOL * 100:.0e}", residual=res
         )
     if A.size and A.min() < 0:
         raise WitnessError("A must be entrywise nonnegative", residual=res)
@@ -181,13 +182,12 @@ def random_positive_witness(rng: np.random.Generator, n: int, target_rho: float 
     return PositiveSystemWitness(A=A, u=u, v=v)
 
 
-def random_dominance_triple(rng: np.random.Generator, n: int, target_rho: float = 0.8,
-                            margin: float = 0.05):
+def random_dominance_triple(rng: np.random.Generator, n: int, target_rho: float = 0.8):
     """Draw nonnegative B, C with radius < 1 and a phase-randomized A below sqrt(B*C)."""
     B = rng.random((n, n))
     C = rng.random((n, n))
-    B *= target_rho / (spectral_radius(B) * (1.0 + margin))
-    C *= target_rho / (spectral_radius(C) * (1.0 + margin))
+    B *= target_rho / (spectral_radius(B) * (1.0 + DOMINANCE_MARGIN))
+    C *= target_rho / (spectral_radius(C) * (1.0 + DOMINANCE_MARGIN))
     phases = np.exp(2j * np.pi * rng.random((n, n)))
     A = phases * np.sqrt(B * C)
     return A, B, C

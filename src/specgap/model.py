@@ -291,18 +291,18 @@ def save_omegas(path, omegas) -> None:
 
 
 def config_number(kind, value, name: str):
-    """kind(value) for a config entry; a value that does not convert is a ConfigError.
+    """kind(value) for a config entry that is a JSON number; anything else is a ConfigError.
 
-    A bool is not a number, and an int entry rejects a float with a
-    fractional part rather than truncating it (16.0 is accepted).
+    A bool or a numeric string is not a number, and an int entry rejects a
+    float with a fractional part rather than truncating it (16.0 is accepted).
     """
-    if isinstance(value, bool) or (
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
             kind is int and isinstance(value, float) and not value.is_integer()):
         raise ConfigError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
                           f"got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:  # an integer too large for a float
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
 
 

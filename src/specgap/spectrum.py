@@ -102,7 +102,10 @@ def density(ensemble: CorrelationEnsemble, x_lo: float, x_hi: float, steps: int,
         raise DomainError("steps must be at least 2")
     if not y > 0:
         raise DomainError("the imaginary offset y must be positive")
-    xs = np.linspace(x_lo, x_hi, steps)
+    try:
+        xs = np.linspace(x_lo, x_hi, steps)
+    except (MemoryError, ValueError, IndexError):  # how numpy fails past its size limits
+        raise DomainError(f"a grid of {steps} steps cannot be allocated") from None
     blocks = [xs[i:i + SCAN_BLOCK] for i in range(0, steps, SCAN_BLOCK)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -266,13 +266,20 @@ SCALING = {"family": {"Ns": [4, 8, 16], "n_ratio": 4, "model": {"type": "identit
     ("support", {"ensemble": IDENT16, "steps": 10, "solver_tol": -1e-6}),
     # an unhashable model type
     ("support", {"ensemble": {**IDENT16, "model": {"type": []}}}),
+    # a numeric string is not a number
+    ("support", {"ensemble": {**IDENT16, "N": "4"}}),
+    ("support", {"ensemble": IDENT16, "steps": "60"}),
+    # a grid too large to allocate
+    ("density", {"ensemble": IDENT16, "grid": {"lo": 0.0, "hi": 3.0, "steps": 1e18}}),
+    ("support", {"ensemble": IDENT16, "steps": 1e18}),
 ], ids=["steps", "test_interval", "N", "rho", "size_index",
         "steps_fractional", "N_fractional", "trials_bool",
         "ensemble_not_object", "grid_not_object", "variance_not_object",
         "family_not_object", "double_n_string", "max_iter_zero",
         "trials_one", "variance_trials_one",
         "path_missing", "path_directory", "path_not_string",
-        "tol_zero", "tol_nan", "solver_tol_negative", "model_type_list"])
+        "tol_zero", "tol_nan", "solver_tol_negative", "model_type_list",
+        "N_string", "steps_string", "grid_steps_huge", "steps_huge"])
 def test_bad_config_value_is_config_error(tmp_path, capsys, monkeypatch, command, payload):
     monkeypatch.chdir(tmp_path)  # relative model paths resolve in tmp_path
     cfg = write_cfg(tmp_path, payload)

@@ -299,8 +299,23 @@ def test_solve_at_zero_identity_closed_form(N, n, ell_expect):
     assert np.allclose(zs.ell, ell_expect, atol=1e-10)
     assert zs.jacobian_radius == pytest.approx(c, abs=1e-8)
     assert zs.jacobian_radius <= zs.radius_bound + 1e-10
-    assert zs.p_sequence_used[0] == 1
-    assert all(b == 2 * a for a, b in zip(zs.p_sequence_used, zs.p_sequence_used[1:]))
+
+
+@pytest.fixture(scope="module")
+def identity48x64():
+    return build_identity(48, 64)
+
+
+@pytest.mark.parametrize("name", ["exp64", "identity48x64"])
+def test_solve_at_zero_matches_paper_ladder(request, name):
+    # the paper's construction: ell is the limit of delta(-1/p) as p -> inf,
+    # approached from below by a nondecreasing sequence
+    ens = request.getfixturevalue(name)
+    ell = solve_at_zero(ens).ell
+    ladder = np.array([solve_deltas(ens, -1.0 / 2**k).delta for k in range(41)])
+    assert np.all(np.diff(ladder, axis=0) >= 0.0)
+    assert np.all(ladder <= ell + 1e-12)
+    assert np.max(np.abs(ladder[-1] - ell)) < 1e-9
 
 
 def test_solve_at_zero_exponential_bound(exp64):

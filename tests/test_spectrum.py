@@ -60,6 +60,13 @@ def test_density_validation(identity16):
         density(identity16, 0.0, 1.0, 10, y=0.0)
 
 
+@pytest.mark.parametrize("steps", [10**18, 2**63, 10**20])
+def test_density_grid_too_large_is_domain_error(identity16, steps):
+    # numpy fails each size differently: MemoryError, IndexError, ValueError
+    with pytest.raises(DomainError, match="cannot be allocated"):
+        density(identity16, 0.0, 1.0, steps)
+
+
 def test_density_worker_count_invariance(identity16):
     a = density(identity16, 0.0, 3.0, 70, y=1e-3, workers=1)
     b = density(identity16, 0.0, 3.0, 70, y=1e-3, workers=3)
