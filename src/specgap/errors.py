@@ -43,6 +43,10 @@ class ConvergenceError(SpecgapError):
         self.iterations = iterations
 
 
+class BranchError(SpecgapError):
+    """A complex-z solution left the Stieltjes branch (Im delta, Im m of the wrong sign)."""
+
+
 class DivergenceError(SpecgapError):
     """Zero-point iterates exceeded the admissible growth cap."""
 
@@ -61,10 +65,6 @@ class SingularMatrixError(SpecgapError):
 
 class EmptySupportError(SpecgapError):
     """No grid point exceeded the density threshold."""
-
-
-class DensityConsistencyError(SpecgapError):
-    """Density came out substantially negative, signalling a solver failure."""
 
 
 class WitnessError(SpecgapError):

@@ -14,9 +14,11 @@ the test oracle, and certified through the Jacobian spectral radius.
 Columns with identical covariances share one unknown; all iterations run
 on the collapsed group coordinates, which reproduces the full iteration
 exactly while cutting the per-sweep cost from n to G traces.  One Picard
-loop serves every solve.  Its sweep map is built once per spectral point:
-with a single distinct covariance it is an O(N) formula in the cached
-eigenvalues, otherwise one bulk inverse followed by the G group traces.
+loop serves every cold solve.  Its sweep map is built once per spectral
+point: with a single distinct covariance it is an O(N) formula in the
+cached eigenvalues, otherwise one bulk inverse followed by the G group
+traces.  One G x G Jacobian kernel serves the zero-point certificate and
+the safeguarded Newton solve that support bisection warm-starts.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import numpy as np
 
 from .algebra import spectral_radius
 from .errors import (
+    BranchError,
     ConvergenceError,
     DivergenceError,
     DomainError,
@@ -40,6 +43,9 @@ from .model import CorrelationEnsemble
 
 JACOBIAN_IDENTITY_TOL = 1e-8
 RADIUS_SLACK = 1e-10
+NEWTON_HALVINGS = 8  # step halvings before a Newton step falls back to damped Picard
+# density Im m / pi this far below zero is rounding; Im delta gets the same allowance
+NEGATIVE_DENSITY_TOL = 1e-9
 
 
 def validate_spectral_point(z) -> complex:
@@ -150,12 +156,66 @@ def _sweep_map(ensemble, z):
     return sweep
 
 
-def _iterate_groups(ensemble, x0_groups, z, tol, max_iter, damping, cap=None):
-    """Damped Picard sweep on group coordinates until the update norm < tol."""
+def _group_jacobian(ensemble, x, z):
+    """Bulk inverse T, map phi(x) and its G x G Jacobian L on group coordinates at z.
+
+    With P_g = Omega_g T and T the bulk inverse at x,
+
+        phi_g = tr(P_g) / n,   L_gh = mult_h tr(P_g P_h) / (n^2 (1 + x_h)^2),
+
+    all from one bulk inverse.  With one distinct covariance phi and L are
+    O(N) sums over its cached eigenvalues, as in the sweep, and T is None.
+    phi and L are real-valued at real z.
+    """
+    real = not isinstance(z, complex)
+    n, mult = ensemble.n, ensemble.group_mult
+    if len(mult) == 1:
+        lam = ensemble.group_eigenvalues[0]
+        scale = mult[0] / n
+        ld = lam / (scale / (1.0 + x[0]) * lam - z)
+        T = None
+        fx = np.array([np.sum(ld) / n])
+        L = np.array([[scale / (1.0 + x[0]) ** 2 * np.sum(ld * ld) / n]])
+    else:
+        T = _bulk_inverse(ensemble, 1.0 / (1.0 + x) * mult, z)
+        P = _group_stack(ensemble, T) @ T  # (G, N, N)
+        G = len(P)
+        fx = np.einsum("gii->g", P) / n
+        K = P.reshape(G, -1) @ P.transpose(0, 2, 1).reshape(G, -1).T  # tr(P_g P_h)
+        L = K * (mult / (n**2 * (1.0 + x) ** 2))
+    if real:
+        return T, fx.real, L.real
+    return T, fx, L
+
+
+def _check_branch(z, x, m):
+    """Raise BranchError unless x and m lie on the Stieltjes branch at z.
+
+    Off the real axis, Im x >= 0 entrywise and Im m >= 0 for Im z > 0, and
+    the mirror image below the axis, each up to pi * NEGATIVE_DENSITY_TOL
+    of rounding.  Real z has nothing to check.
+    """
+    if z.imag == 0.0:
+        return
+    sign = 1.0 if z.imag > 0 else -1.0
+    worst = min(float(np.min(sign * np.imag(x))), sign * m.imag)
+    if worst < -np.pi * NEGATIVE_DENSITY_TOL:
+        raise BranchError(
+            f"solution at z = {z} is off the Stieltjes branch "
+            f"(min sign*Im delta {np.min(sign * np.imag(x)):.3e}, sign*Im m {sign * m.imag:.3e})"
+        )
+
+
+def _check_budget(tol, max_iter):
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
-    if not tol > 0:  # NaN too: no update norm is ever below it
+    if not tol > 0:  # NaN too: no residual is ever below it
         raise DomainError(f"tol must be > 0, got {tol}")
+
+
+def _iterate_groups(ensemble, x0_groups, z, tol, max_iter, damping, cap=None):
+    """Damped Picard sweep on group coordinates until the update norm < tol."""
+    _check_budget(tol, max_iter)
     sweep = _sweep_map(ensemble, z)
     # a single group iterates on a numpy scalar: array reductions would
     # cost more than its O(N) sweep
@@ -182,6 +242,11 @@ def _iterate_groups(ensemble, x0_groups, z, tol, max_iter, damping, cap=None):
     )
 
 
+def _first_columns(ensemble):
+    """Index of the first column of each group, which orders the groups."""
+    return np.unique(ensemble.group_index, return_index=True)[1]
+
+
 def _initial_groups(ensemble, x0, z):
     """Collapse a caller-supplied start onto group coordinates.
 
@@ -198,7 +263,7 @@ def _initial_groups(ensemble, x0, z):
         return np.full(G, x0)
     if x0.shape != (ensemble.n,):
         raise DomainError(f"x0 must be a scalar or length-{ensemble.n} vector")
-    reduced = x0[np.unique(ensemble.group_index, return_index=True)[1]]
+    reduced = x0[_first_columns(ensemble)]
     if np.array_equal(ensemble.expand(reduced), x0):
         return reduced
     out = _group_traces(ensemble, _column_inverse(ensemble, x0, z))
@@ -223,20 +288,42 @@ def phi(ensemble: CorrelationEnsemble, x, z: float) -> np.ndarray:
 
 
 def solve_deltas(ensemble: CorrelationEnsemble, z, tol: float = 1e-12,
-                 max_iter: int = 10000, x0=None) -> FixedPointSolution:
+                 max_iter: int = 10000, x0=None, starts=None) -> FixedPointSolution:
     """Solve the coupled delta system at z by damped Picard iteration.
 
     The damping is 1 for real negative z (where the undamped map is
     monotone) and 0.5 off the real axis, where the map stiffens as Im z
     shrinks toward the support.  The solution does not depend on x0.
+
+    ``starts``, for non-real z only and in place of x0, are solutions at
+    nearby spectral points (each in any form x0 takes); the solve is then
+    a safeguarded Newton iteration (``_newton_groups``) from whichever
+    start has the smallest true residual, ``tol`` bounds the true residual
+    max|phi(x) - x| instead of the last update, and ``iterations`` counts
+    Newton steps.
+
+    Off the real axis the solution must lie on the Stieltjes branch
+    (``Im delta >= 0`` and ``Im m >= 0`` for ``Im z > 0``, up to rounding),
+    else BranchError.
     """
     z = validate_spectral_point(z)
-    damping = 1.0 if z.imag == 0.0 else 0.5
     zz = z if z.imag != 0.0 else z.real
-    x0g = _initial_groups(ensemble, x0, zz)
-    xg, iterations, residual = _iterate_groups(ensemble, x0g, zz, tol, max_iter, damping)
-    inv = _bulk_inverse(ensemble, 1.0 / (1.0 + xg) * ensemble.group_mult, zz)
+    if starts is None:
+        damping = 1.0 if z.imag == 0.0 else 0.5
+        x0g = _initial_groups(ensemble, x0, zz)
+        xg, iterations, residual = _iterate_groups(ensemble, x0g, zz, tol, max_iter, damping)
+        inv = None
+    else:
+        if z.imag == 0.0:
+            raise InvalidSpectralPoint(f"a Newton solve needs Im z != 0, got z = {z}")
+        if x0 is not None:
+            raise DomainError("give x0 or starts, not both")
+        xg, inv, iterations, residual = _newton_groups(
+            ensemble, z, [_initial_groups(ensemble, s, z) for s in starts], tol, max_iter)
+    if inv is None:
+        inv = _bulk_inverse(ensemble, 1.0 / (1.0 + xg) * ensemble.group_mult, zz)
     m = np.trace(inv) / ensemble.N
+    _check_branch(z, xg, m)
     return FixedPointSolution(
         z=z,
         delta=ensemble.expand(xg),
@@ -245,6 +332,56 @@ def solve_deltas(ensemble: CorrelationEnsemble, z, tol: float = 1e-12,
         iterations=iterations,
         residual=residual,
     )
+
+
+def _newton_groups(ensemble, z, starts, tol, max_iter):
+    """Fixed point at non-real z by safeguarded Newton from the best of ``starts``.
+
+    ``starts`` are group-coordinate solutions at nearby spectral points;
+    the one with the smallest true residual max|phi(x) - x| at z is kept.
+    Each step solves (I - L) dx = phi(x) - x with L from ``_group_jacobian``
+    and is accepted only if x + dx stays on the Stieltjes branch and lowers
+    the true residual; otherwise the step is halved, up to NEWTON_HALVINGS
+    times, and then one damped (0.5) Picard step is taken, which keeps the
+    branch (Kelley, "Solving Nonlinear Equations with Newton's Method",
+    SIAM 2003).  Stops once the true residual is below ``tol``.  Returns
+    (x, T, iterations, residual) with T the bulk inverse at x, or None
+    for a single group.
+    """
+    _check_budget(tol, max_iter)
+    sign = 1.0 if z.imag > 0 else -1.0
+
+    def evaluate(x):
+        T, fx, L = _group_jacobian(ensemble, x, z)
+        return x, T, fx, L, float(np.max(np.abs(fx - x)))
+
+    x, T, fx, L, residual = min((evaluate(s) for s in starts), key=lambda point: point[4])
+    eye = np.eye(len(x))
+    iterations = 0
+    while not residual < tol:
+        if iterations == max_iter:
+            raise ConvergenceError(
+                f"no convergence after {max_iter} Newton steps at z = {z} "
+                f"(true residual {residual:.3e}, tol {tol:.0e})",
+                residual=residual, iterations=max_iter,
+            )
+        iterations += 1
+        try:
+            step = np.linalg.solve(eye - L, fx - x)
+        except np.linalg.LinAlgError:
+            step = np.full_like(x, np.nan)
+        for _ in range(NEWTON_HALVINGS + 1):
+            trial = x + step
+            # NaN fails this test too
+            if np.all(sign * trial.imag >= 0.0):
+                point = evaluate(trial)
+                if point[4] < residual:
+                    break
+            step = step / 2.0
+        else:
+            point = evaluate(x + 0.5 * (fx - x))
+        x, T, fx, L, residual = point
+    return x, T, iterations, residual
 
 
 def m_of_z(ensemble: CorrelationEnsemble, z, **kwargs) -> complex:
@@ -266,9 +403,29 @@ def solve_at_zero(ensemble: CorrelationEnsemble, tol: float = 1e-12,
     x, iterations, residual = _iterate_groups(
         ensemble, np.zeros(len(ensemble.group_mult)), 0.0, tol, max_iter, 1.0, cap=cap)
     ell = ensemble.expand(x)
-    _, rho, bound = jacobian_at_zero(ensemble, ell)
+    _, rho, bound = _certify_at_zero(ensemble, x, ell)
     return ZeroSolution(ell=ell, jacobian_radius=rho, radius_bound=bound,
                         iterations=iterations, residual=residual)
+
+
+def _certify_at_zero(ensemble, x, ell):
+    """Group Jacobian L at z = 0 with its radius certificate; x = ell on groups."""
+    L = _group_jacobian(ensemble, x, 0.0)[2]
+    identity_residual = float(np.max(np.abs(ensemble.expand(L @ (1.0 + x)) - ell)))
+    if identity_residual > JACOBIAN_IDENTITY_TOL:
+        raise JacobianIdentityError(
+            f"J(1+ell) - ell deviates by {identity_residual:.3e} in the inf-norm; "
+            "ell is not a fixed point or the assembly is wrong",
+            residual=identity_residual,
+        )
+    rho = spectral_radius(L)
+    ell_max = float(ell.max())
+    bound = ell_max / (1.0 + ell_max)
+    if rho >= 1.0 or rho > bound + RADIUS_SLACK:
+        raise InequalityViolation(
+            f"jacobian radius {rho:.12g} violates its certificate {bound:.12g}"
+        )
+    return L, rho, bound
 
 
 def jacobian_at_zero(ensemble: CorrelationEnsemble, ell):
@@ -277,38 +434,22 @@ def jacobian_at_zero(ensemble: CorrelationEnsemble, ell):
     [J]_{i,m} = (1/n^2) tr( Omega_i A^{-1} Omega_m A^{-1} ) / (1 + ell_m)^2
     with A = (1/n) sum_k Omega_k / (1 + ell_k); both bulk factors carry the
     inverse, which is the only reading consistent with the linear identity
-    J (1 + ell) = ell.  That identity is verified to 1e-8 in the inf-norm
-    and doubles as the fixed-point precondition check (its left side equals
-    phi(ell, 0)).  Returns (J, rho(J), max(ell)/(1 + max(ell))); the bound
-    follows from the positive-system lemma applied to u = J u + 1.
+    J (1 + ell) = ell.  J is constant on group blocks, so it is certified
+    on its G x G lumped form L_gh = mult_h J_{g,h}, which has the same
+    nonzero spectrum: L (1 + ell_g) = ell_g is verified to 1e-8 in the
+    inf-norm over columns (its left side equals phi(ell, 0), so this doubles
+    as the fixed-point precondition check), then rho(L) < 1 and
+    rho(L) <= max(ell)/(1 + max(ell)), the positive-system lemma's bound
+    for u = J u + 1.  Returns (J, rho, bound); J itself costs O(n^2) and
+    takes no eigen-solve.
     """
     ell = np.asarray(ell, dtype=float)
     if ell.shape != (ensemble.n,):
         raise DomainError(f"ell must have length n = {ensemble.n}")
     if np.any(ell <= 0):
         raise DomainError("ell must be strictly positive")
-    n = ensemble.n
-    inv = _column_inverse(ensemble, ell, 0.0)
-    prods = ensemble.group_omegas @ inv  # (G, N, N)
-    G = len(prods)
-    flat = prods.reshape(G, -1)
-    flat_t = prods.transpose(0, 2, 1).reshape(G, -1)
-    K = (flat @ flat_t.T).real  # K[g,h] = tr(Omega_g A^-1 Omega_h A^-1)
+    x = ell[_first_columns(ensemble)]
+    L, rho, bound = _certify_at_zero(ensemble, x, ell)
     gi = ensemble.group_index
-    J = K[np.ix_(gi, gi)] / (n**2 * (1.0 + ell[None, :]) ** 2)
-    u = 1.0 + ell
-    identity_residual = float(np.max(np.abs(J @ u - ell)))
-    if identity_residual > JACOBIAN_IDENTITY_TOL:
-        raise JacobianIdentityError(
-            f"J(1+ell) - ell deviates by {identity_residual:.3e} in the inf-norm; "
-            "ell is not a fixed point or the assembly is wrong",
-            residual=identity_residual,
-        )
-    rho = spectral_radius(J)
-    ell_max = float(ell.max())
-    bound = ell_max / (1.0 + ell_max)
-    if rho >= 1.0 or rho > bound + RADIUS_SLACK:
-        raise InequalityViolation(
-            f"jacobian radius {rho:.12g} violates its certificate {bound:.12g}"
-        )
+    J = (L / ensemble.group_mult)[np.ix_(gi, gi)]
     return J, rho, bound

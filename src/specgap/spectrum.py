@@ -3,8 +3,8 @@
 The deterministic-equivalent density is recovered on a grid by evaluating
 (1/pi) Im m(x + iy) at a small fixed offset y; support intervals are the
 maximal runs where that estimate exceeds a threshold, with edges refined
-by bisection.  The left edge of the first interval is the reported
-spectral gap at zero.
+by bisection, whose probes are Newton solves warm-started from the scan.
+The left edge of the first interval is the reported spectral gap at zero.
 """
 
 from __future__ import annotations
@@ -16,16 +16,14 @@ import numpy as np
 
 from .errors import (
     ConvergenceError,
-    DensityConsistencyError,
     DomainError,
     EmptySupportError,
     InequalityViolation,
 )
 from .formats import fmt, write_json
 from .model import CorrelationEnsemble
-from .solver import solve_deltas
+from .solver import _first_columns, solve_deltas
 
-NEGATIVE_DENSITY_TOL = 1e-9
 SCAN_BLOCK = 32  # grid points per warm-start chain; fixed so results never depend on worker count
 
 
@@ -37,6 +35,8 @@ class DensityCurve:
     ys: np.ndarray
     y_imag: float
     mass: float
+    # (steps, G) solution at each grid point on group coordinates
+    group_solutions: np.ndarray = field(compare=False, repr=False)
     diagnostics: dict = field(default_factory=dict, compare=False)
 
 
@@ -62,9 +62,10 @@ def default_grid_upper(ensemble: CorrelationEnsemble) -> float:
     return 4.0 * first_moment(ensemble) * ensemble.w_max / ensemble.w_min
 
 
-def _density_at(ensemble, x, y, tol, max_iter, x0=None):
+def _density_at(ensemble, x, y, tol, max_iter, x0=None, starts=None):
     try:
-        sol = solve_deltas(ensemble, complex(x, y), tol=tol, max_iter=max_iter, x0=x0)
+        sol = solve_deltas(ensemble, complex(x, y), tol=tol, max_iter=max_iter, x0=x0,
+                           starts=starts)
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"at grid point x = {x:.9g} (offset y = {y:g}): {exc}",
@@ -75,15 +76,18 @@ def _density_at(ensemble, x, y, tol, max_iter, x0=None):
 
 def _scan_block(ensemble, xs, y, tol, max_iter):
     vals = np.empty(len(xs))
+    sols = np.empty((len(xs), len(ensemble.group_mult)), dtype=complex)
+    first = _first_columns(ensemble)
     iters = 0
     worst = 0.0
     prev = None
     for j, x in enumerate(xs):
         vals[j], sol = _density_at(ensemble, x, y, tol, max_iter, x0=prev)
         prev = sol.delta
+        sols[j] = sol.delta[first]
         iters += sol.iterations
         worst = max(worst, sol.residual)
-    return vals, iters, worst
+    return vals, iters, worst, sols
 
 
 def density(ensemble: CorrelationEnsemble, x_lo: float, x_hi: float, steps: int,
@@ -93,8 +97,10 @@ def density(ensemble: CorrelationEnsemble, x_lo: float, x_hi: float, steps: int,
 
     Grid points are solved in fixed blocks of 32, warm-starting inside each
     block, so the values are identical for any worker count.  Estimates in
-    (-1e-9, 0) are clamped to zero; anything more negative indicates a
-    solver failure and raises.
+    (-1e-9, 0) are rounding and clamped to zero; anything more negative is
+    off the Stieltjes branch, which ``solve_deltas`` already rejects with
+    BranchError.  The curve keeps each grid point's solution on group
+    coordinates, from which support bisection warm-starts.
     """
     if not x_lo < x_hi:
         raise DomainError(f"need x_lo < x_hi, got [{x_lo}, {x_hi}]")
@@ -116,17 +122,12 @@ def density(ensemble: CorrelationEnsemble, x_lo: float, x_hi: float, steps: int,
     ys = np.concatenate([r[0] for r in results])
     total_iters = sum(r[1] for r in results)
     max_residual = max(r[2] for r in results)
-    low = ys.min()
-    if low < -NEGATIVE_DENSITY_TOL:
-        raise DensityConsistencyError(
-            f"density estimate {low:.3e} is negative beyond {NEGATIVE_DENSITY_TOL:.0e}; "
-            "Im m must be positive in the upper half plane"
-        )
     ys = np.clip(ys, 0.0, None)
     mass = float(np.trapezoid(ys, xs)) if hasattr(np, "trapezoid") else float(np.trapz(ys, xs))
     return DensityCurve(
         xs=xs, ys=ys, y_imag=y, mass=mass,
         diagnostics={"iterations": total_iters, "max_residual": max_residual},
+        group_solutions=np.concatenate([r[3] for r in results]),
     )
 
 
@@ -142,9 +143,15 @@ def detect_support(ensemble: CorrelationEnsemble, x_hi: float | None = None,
     estimate at zero.  When x_hi is omitted the first-moment heuristic
     upper bound is used.
 
-    The classification tolerance ``solver_tol`` is looser than the curve
-    default: near an edge the density sits far above or far below the
-    threshold, so 1e-6 never flips a grid point.
+    Each bisection probe is a safeguarded Newton solve on the G group
+    unknowns (``solve_deltas`` with ``starts``), started from whichever
+    bracket end's solution has the smaller true residual at the probe; the
+    grid ends take theirs from the scan, and the end a probe replaces
+    inherits the probe's solution.  A probe stops once the true residual
+    max|phi(x) - x| is below ``solver_tol``; the scan stops on the update
+    norm.  The tolerance is looser than the curve default: near an edge
+    the density sits far above or far below the threshold, so 1e-6 never
+    flips a grid point.
     """
     if x_hi is None:
         x_hi = default_grid_upper(ensemble)
@@ -152,7 +159,7 @@ def detect_support(ensemble: CorrelationEnsemble, x_hi: float | None = None,
         raise DomainError("x_hi must be positive")
     curve = density(ensemble, 0.0, x_hi, steps, y=y, tol=solver_tol,
                     max_iter=max_iter, workers=workers)
-    xs, ys = curve.xs, curve.ys
+    xs, ys, sols = curve.xs, curve.ys, curve.group_solutions
     grid_step = float(xs[1] - xs[0])
     above = ys >= threshold
     if not above.any():
@@ -162,20 +169,19 @@ def detect_support(ensemble: CorrelationEnsemble, x_hi: float | None = None,
         )
     target = grid_step / 100.0
 
-    def classify(x):
-        val, _ = _density_at(ensemble, x, y, solver_tol, max_iter)
-        return val >= threshold
-
-    def refine(lo, hi, rising):
-        # invariant: density crosses the threshold inside (lo, hi);
-        # `rising` means the supra-threshold side is hi
+    def refine(j, rising):
+        # invariant: density crosses the threshold inside (lo, hi), grid
+        # points j and j + 1; `rising` means the supra-threshold side is hi
+        lo, hi = float(xs[j]), float(xs[j + 1])
+        sol_lo, sol_hi = ensemble.expand(sols[j]), ensemble.expand(sols[j + 1])
         while hi - lo > target:
             mid = 0.5 * (lo + hi)
-            inside = classify(mid)
-            if inside == rising:
-                hi = mid
+            val, sol = _density_at(ensemble, mid, y, solver_tol, max_iter,
+                                   starts=(sol_lo, sol_hi))
+            if (val >= threshold) == rising:
+                hi, sol_hi = mid, sol.delta
             else:
-                lo = mid
+                lo, sol_lo = mid, sol.delta
         return 0.5 * (lo + hi)
 
     intervals = []
@@ -187,8 +193,8 @@ def detect_support(ensemble: CorrelationEnsemble, x_hi: float | None = None,
         k = j
         while k + 1 < len(xs) and above[k + 1]:
             k += 1
-        a = float(xs[j]) if j == 0 else refine(float(xs[j - 1]), float(xs[j]), rising=True)
-        b = float(xs[k]) if k == len(xs) - 1 else refine(float(xs[k]), float(xs[k + 1]), rising=False)
+        a = float(xs[j]) if j == 0 else refine(j - 1, rising=True)
+        b = float(xs[k]) if k == len(xs) - 1 else refine(k, rising=False)
         intervals.append((a, b))
         j = k + 1
     return SupportReport(

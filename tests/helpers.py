@@ -3,7 +3,7 @@
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln, roots_genlaguerre
 
-from specgap import from_matrices
+from specgap import density, from_matrices, solve_deltas, solver
 
 
 def mp_edges(c):
@@ -75,3 +75,55 @@ def random_ensemble(rng, N=None, n=None, real=False):
 
 def random_upper_z(rng):
     return complex(rng.uniform(-2.0, 3.0), rng.uniform(0.05, 3.0))
+
+
+def cold_support_intervals(ensemble, x_hi, steps, y, threshold=1e-3, solver_tol=1e-6,
+                           max_iter=200000):
+    """Support intervals by the original cold bisection: the oracle for detect_support.
+
+    Same scan and classification as ``detect_support``, but every bisection
+    probe is a plain ``solve_deltas`` from zero (damped Picard to an update
+    norm of ``solver_tol``) instead of a warm-started Newton solve.
+    """
+    curve = density(ensemble, 0.0, x_hi, steps, y=y, tol=solver_tol, max_iter=max_iter)
+    xs, above = curve.xs, curve.ys >= threshold
+    target = float(xs[1] - xs[0]) / 100.0
+
+    def inside(x):
+        sol = solve_deltas(ensemble, complex(x, y), tol=solver_tol, max_iter=max_iter)
+        return sol.m.imag / np.pi >= threshold
+
+    def refine(lo, hi, rising):
+        while hi - lo > target:
+            mid = 0.5 * (lo + hi)
+            if inside(mid) == rising:
+                hi = mid
+            else:
+                lo = mid
+        return 0.5 * (lo + hi)
+
+    intervals = []
+    j = 0
+    while j < len(xs):
+        if not above[j]:
+            j += 1
+            continue
+        k = j
+        while k + 1 < len(xs) and above[k + 1]:
+            k += 1
+        a = float(xs[j]) if j == 0 else refine(float(xs[j - 1]), float(xs[j]), True)
+        b = float(xs[k]) if k == len(xs) - 1 else refine(float(xs[k]), float(xs[k + 1]), False)
+        intervals.append((a, b))
+        j = k + 1
+    return intervals
+
+
+def conjugate_sweep_map(monkeypatch):
+    """Make every Picard sweep converge to the conjugate of the true solution."""
+    true_map = solver._sweep_map
+
+    def conjugate_map(ensemble, z):
+        sweep = true_map(ensemble, z)
+        return lambda x: np.conj(sweep(np.conj(x)))
+
+    monkeypatch.setattr(solver, "_sweep_map", conjugate_map)

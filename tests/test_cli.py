@@ -6,6 +6,8 @@ import pytest
 from specgap import cli
 from specgap.sampler import ScalingReport
 
+from helpers import conjugate_sweep_map
+
 IDENT16 = {"N": 16, "n": 64, "model": {"type": "identity"}}
 # correlated columns: no exact moment oracle, so bias_scaling keeps the plain mean
 TOEPLITZ = {"type": "exponential", "rho": [0.5]}
@@ -92,6 +94,13 @@ def test_support_command(tmp_path, capsys):
     payload = json.loads((out / "support.json").read_text())
     assert payload["epsilon_at_zero"] == eps
     assert len(payload["intervals"]) == 1
+
+
+def test_support_off_branch_is_numerical_failure(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, {"ensemble": IDENT16, "steps": 60})
+    conjugate_sweep_map(monkeypatch)
+    assert run(["support", "--config", cfg, "--out", str(tmp_path)]) == 3
+    assert "Stieltjes branch" in capsys.readouterr().err
 
 
 def test_support_absurd_threshold(tmp_path):

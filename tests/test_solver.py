@@ -18,7 +18,10 @@ from specgap import (
     solve_at_zero,
     solve_deltas,
 )
+from specgap import solver
+from specgap.algebra import spectral_radius
 from specgap.errors import (
+    BranchError,
     ConvergenceError,
     DivergenceError,
     DomainError,
@@ -28,7 +31,13 @@ from specgap.errors import (
 from specgap.model import save_omegas
 from specgap.solver import validate_spectral_point
 
-from helpers import mp_delta, random_ensemble, random_psd, random_upper_z
+from helpers import (
+    conjugate_sweep_map,
+    mp_delta,
+    random_ensemble,
+    random_psd,
+    random_upper_z,
+)
 
 # identity ensemble, c = 0.25, z = -1: delta solves d^2 + (2 - c) d - c = 0
 DELTA_ORACLE = (-1.75 + np.sqrt(4.0625)) / 2.0
@@ -281,8 +290,8 @@ def test_tol_not_positive_is_domain_error(request, name):
 
 
 def test_single_group_sweep_matches_bulk_kernel():
-    # one non-identity covariance: the solve runs the O(N) eigenbasis sweep,
-    # while phi and the zero-point Jacobian go through the bulk inverse
+    # one non-identity covariance: the solve and the zero-point Jacobian run
+    # the O(N) eigenbasis formulas, while phi goes through the bulk inverse
     ens = build_exponential(8, 32, [0.5] * 32)
     assert len(ens.group_mult) == 1
     for z in (-0.5, -2.0):
@@ -362,3 +371,71 @@ def test_jacobian_matches_finite_differences():
         fd[:, m] = (phi(ens, ell + bump, 0.0) - phi(ens, ell - bump, 0.0)) / (2 * h)
     assert np.max(np.abs(fd - J)) < 1e-6
     assert rho < 1.0 and rho <= bound + 1e-10
+
+
+@pytest.mark.parametrize("name", ["identity64", "exp_small"])
+@pytest.mark.parametrize("z", [1.0 + 0.1j, 1.0 - 0.1j])
+def test_off_branch_solution_raises(request, monkeypatch, name, z):
+    ens = request.getfixturevalue(name)
+    solve_deltas(ens, z)  # the true branch passes
+    conjugate_sweep_map(monkeypatch)
+    with pytest.raises(BranchError, match="Stieltjes branch"):
+        solve_deltas(ens, z)
+    solve_deltas(ens, -1.0)  # real z has no branch to check
+
+
+def test_branch_check_allows_rounding():
+    # the density clamps Im m / pi in (-1e-9, 0) to zero, so the branch
+    # check lets that much rounding through, for delta too
+    tiny = -1e-12j
+    for z, sign in ((2.0 + 1e-6j, 1.0), (2.0 - 1e-6j, -1.0)):
+        solver._check_branch(z, np.array([0.5 + sign * tiny]), complex(sign * tiny))
+        with pytest.raises(BranchError):
+            solver._check_branch(z, np.array([0.5 - sign * 1e-6j]), complex(sign * 1e-3j))
+        with pytest.raises(BranchError):
+            solver._check_branch(z, np.array([0.5 + sign * 1e-3j]), complex(-sign * 1e-6j))
+
+
+def test_group_jacobian_matches_finite_differences():
+    # complex z: L is the holomorphic derivative of the group map
+    h = 1e-6
+    for ens in (build_exponential(8, 30, [0.2, 0.5, 0.9] * 10), build_identity(8, 32)):
+        G = len(ens.group_mult)
+        z = 2.0 + 1e-2j
+        x = np.array([0.5 + 0.1j, 0.6 + 0.2j, 0.9 + 0.3j])[:G]
+        T, fx, L = solver._group_jacobian(ens, x, z)
+        sol_map = solver._sweep_map(ens, z)
+        assert np.allclose(fx, sol_map(x if G > 1 else x[0]), rtol=0.0, atol=1e-14)
+        bulk = solver._bulk_inverse(ens, 1.0 / (1.0 + x) * ens.group_mult, z)
+        assert (T is None) == (G == 1) and (T is None or np.array_equal(T, bulk))
+        fd = np.empty((G, G), dtype=complex)
+        for k in range(G):
+            bump = np.zeros(G, dtype=complex)
+            bump[k] = h
+            fd[:, k] = (solver._group_jacobian(ens, x + bump, z)[1]
+                        - solver._group_jacobian(ens, x - bump, z)[1]) / (2 * h)
+        assert np.max(np.abs(fd - L)) < 1e-8
+
+
+@pytest.fixture(scope="module")
+def certificate_ensembles(exp64, identity64, identity48x64):
+    rng = np.random.default_rng(3)
+    return {
+        "exp64": exp64,
+        "identity64": identity64,
+        "identity48x64": identity48x64,
+        "identity128x512": build_identity(128, 512),
+        "toeplitz_g256": build_exponential(16, 256, np.linspace(0.05, 0.9, 256)),
+        **{f"random{k}": random_ensemble(rng) for k in range(4)},
+    }
+
+
+def test_group_certificate_matches_full_jacobian(certificate_ensembles):
+    # the n x n J and its G x G lumped form share their nonzero spectrum
+    for name, ens in certificate_ensembles.items():
+        zs = solve_at_zero(ens)
+        J, rho, bound = jacobian_at_zero(ens, zs.ell)
+        assert J.shape == (ens.n, ens.n)
+        assert rho == zs.jacobian_radius
+        assert abs(rho - spectral_radius(J)) <= 1e-12, name
+        assert rho < 1.0 and rho <= bound + 1e-10

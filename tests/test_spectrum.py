@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specgap import (
+    build_exponential,
     build_identity,
     density,
     detect_support,
@@ -12,16 +13,24 @@ from specgap import (
     m_of_z,
     mass_check,
     solve_at_zero,
+    solve_deltas,
 )
-from specgap.errors import DomainError, EmptySupportError
+from specgap import solver, spectrum
+from specgap.errors import (
+    ConvergenceError,
+    DomainError,
+    EmptySupportError,
+    InvalidSpectralPoint,
+)
 from specgap.spectrum import (
+    _density_at,
     default_grid_upper,
     support_report_dict,
     write_density_csv,
     write_support_json,
 )
 
-from helpers import mp_density, mp_edges, random_ensemble
+from helpers import cold_support_intervals, mp_density, mp_edges, random_ensemble
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +182,98 @@ def test_writers_roundtrip(tmp_path, identity16):
     payload = json.loads(json_path.read_text())
     assert payload == support_report_dict(report)
     assert payload["epsilon_at_zero"] == report.epsilon_at_zero
+
+
+def test_detect_support_equals_cold_bisection_exp64(exp64):
+    # warm-started Newton probes classify every probe as cold Picard did
+    kwargs = dict(x_hi=12.0, steps=150, y=1e-5)
+    oracle = cold_support_intervals(exp64, **kwargs)
+    assert len(oracle) == 3
+    assert detect_support(exp64, **kwargs).intervals == oracle
+
+
+@pytest.mark.parametrize("case", ["identity_c081", "identity16_threshold", "toeplitz_g3_gap"])
+def test_detect_support_within_a_cell_of_cold_bisection(case):
+    # a probe whose density sits within the solver tolerance of the threshold
+    # may classify the other way, which moves its edge by one bisection cell
+    ens, kwargs = {
+        "identity_c081": (build_identity(81, 100), dict(x_hi=4.0, steps=100, y=2e-6)),
+        "identity16_threshold": (build_identity(16, 64),
+                                 dict(x_hi=4.0, steps=200, y=1e-5, threshold=1e-2)),
+        "toeplitz_g3_gap": (build_exponential(16, 64, [(0.2, 0.5, 0.9)[i % 3] for i in range(64)]),
+                            dict(x_hi=10.0, steps=100, y=1e-4, threshold=1e-2)),
+    }[case]
+    report = detect_support(ens, **kwargs)
+    oracle = cold_support_intervals(ens, **kwargs)
+    assert len(report.intervals) == len(oracle)
+    if case == "toeplitz_g3_gap":
+        assert len(oracle) >= 2
+    cell = report.grid_step / 128
+    for got, want in zip(report.intervals, oracle):
+        for a, b in zip(got, want):
+            assert abs(a - b) <= cell * (1 + 1e-9)
+
+
+def test_probe_from_wrong_side_of_edge_stays_on_branch(identity64, monkeypatch):
+    # start inside the support, probe just past the right MP edge 2.25:
+    # unguarded Newton from there passes through Im x < 0
+    y = 1e-5
+    start = solve_deltas(identity64, complex(2.2, y)).delta
+    evaluated = []
+    kernel = solver._group_jacobian
+
+    def recording(ensemble, x, z):
+        evaluated.append(np.array(x))
+        return kernel(ensemble, x, z)
+
+    monkeypatch.setattr(solver, "_group_jacobian", recording)
+    sol = solve_deltas(identity64, complex(2.26, y), tol=1e-6, max_iter=50, starts=(start,))
+    assert 1 <= sol.iterations <= 50 and sol.residual < 1e-6
+    assert all(np.all(e.imag >= 0.0) for e in evaluated)
+    cold = solve_deltas(identity64, complex(2.26, y), tol=1e-13)
+    assert np.max(np.abs(sol.delta - cold.delta)) < 1e-6
+    assert sol.m.imag / np.pi < 1e-3  # outside the support
+    val, again = _density_at(identity64, 2.26, y, 1e-6, 50, starts=(start,))
+    assert val == sol.m.imag / np.pi and np.array_equal(again.delta, sol.delta)
+
+
+def test_probe_at_max_iter_names_grid_point(identity64):
+    start = solve_deltas(identity64, complex(2.2, 1e-5)).delta
+    with pytest.raises(ConvergenceError, match=r"grid point x = 2.26 \(offset y = 1e-05\)") as err:
+        _density_at(identity64, 2.26, 1e-5, 1e-6, 1, starts=(start,))
+    assert err.value.iterations == 1 and err.value.residual >= 1e-6
+
+
+def test_newton_solve_needs_non_real_z_and_one_kind_of_start(identity64):
+    start = solve_deltas(identity64, complex(2.2, 1e-5)).delta
+    with pytest.raises(InvalidSpectralPoint):
+        solve_deltas(identity64, -1.0, starts=(start.real,))
+    with pytest.raises(DomainError, match="x0 or starts"):
+        solve_deltas(identity64, complex(2.26, 1e-5), x0=start, starts=(start,))
+
+
+def test_probes_go_through_solve_deltas(identity16, monkeypatch):
+    # the scan and every bisection probe call spectrum.solve_deltas, the
+    # module attribute that tracers wrap; the probes pass ``starts``
+    calls = []
+    real = spectrum.solve_deltas
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("starts") is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "solve_deltas", counting)
+    report = detect_support(identity16, x_hi=4.0, steps=60, y=1e-4)
+    assert len(report.intervals) == 1
+    assert calls.count(False) == 60
+    assert calls.count(True) == 14  # 2 edges, 7 halvings from grid_step to grid_step/100
+
+
+def test_density_keeps_group_solutions():
+    ens = build_exponential(8, 30, [0.2, 0.5, 0.9] * 10)
+    curve = density(ens, 0.0, 3.0, 40, y=1e-3)
+    assert curve.group_solutions.shape == (40, 3)
+    # grid point 7 is warm-started from point 6 inside the same scan block
+    sol = solve_deltas(ens, complex(curve.xs[7], 1e-3), tol=1e-9,
+                       x0=ens.expand(curve.group_solutions[6]))
+    assert np.array_equal(ens.expand(curve.group_solutions[7]), sol.delta)
