@@ -129,6 +129,12 @@ class CorrelationEnsemble:
         return out
 
     @cached_property
+    def _identity_theta(self) -> bool:
+        """Whether the one group's square root is exactly I_N, so draws skip Theta g."""
+        thetas = self.group_thetas
+        return len(thetas) == 1 and np.array_equal(thetas[0], np.eye(self.N))
+
+    @cached_property
     def group_omegas_complex(self) -> np.ndarray:
         """Read-only complex copy of ``group_omegas`` for complex-z sweeps.
 

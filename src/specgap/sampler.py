@@ -107,15 +107,26 @@ def sample_matrix(ensemble: CorrelationEnsemble, seed: int) -> np.ndarray:
 
     Real and imaginary parts each carry variance 1/2, so E[g g*] = I and
     E[g g^T] = 0.  Deterministic in (ensemble, seed).
+
+    Column i's 2N normals, its real parts then its imaginary parts, are
+    read from its stream straight into row i of one (n, 2N) buffer, and g
+    is assembled from that buffer in two copies.  A single group takes one
+    product over all columns, and none when its Theta is exactly I: that
+    product would return g bit for bit.
     """
-    N, n = ensemble.N, ensemble.n
-    g = np.empty((N, n), dtype=complex)
+    N, n, seed = ensemble.N, ensemble.n, int(seed)
+    rn = np.empty((n, 2 * N))
     for i in range(n):
-        rn = _column_generator(int(seed), i).standard_normal(2 * N)
-        g[:, i] = rn[:N] + 1j * rn[N:]
+        _column_generator(seed, i).standard_normal(out=rn[i])
+    g = np.empty((N, n), dtype=complex)
+    g.real = rn[:, :N].T
+    g.imag = rn[:, N:].T
     g *= np.sqrt(0.5)
+    thetas = ensemble.group_thetas
+    if len(thetas) == 1:
+        return g if ensemble._identity_theta else thetas[0] @ g
     sigma = np.empty((N, n), dtype=complex)
-    for theta, cols in zip(ensemble.group_thetas, ensemble.group_columns):
+    for theta, cols in zip(thetas, ensemble.group_columns):
         sigma[:, cols] = theta @ g[:, cols]
     return sigma
 

@@ -137,16 +137,22 @@ def _sweep_map(ensemble, z):
     With one distinct covariance the bulk matrix diagonalizes in its
     eigenbasis, so each sweep costs O(N) on a scalar iterate instead of a
     matrix inverse; otherwise a sweep is one bulk inverse plus G traces.
+    The single-group sweep computes sum(lam / (scale / (1 + x) * lam - z)) / n
+    in that order in one length-N buffer of its own, so each map (one per
+    solve) allocates once and solves on other threads share nothing.
     """
     real = not isinstance(z, complex)  # Hermitian covariances: real traces
     n = ensemble.n
     if len(ensemble.group_mult) == 1:
         lam = ensemble.group_eigenvalues[0]
         scale = ensemble.group_mult[0] / n
+        buf = np.empty(len(lam), dtype=float if real else complex)
 
         def sweep(x):
-            fx = np.sum(lam / (scale / (1.0 + x) * lam - z)) / n
-            return fx.real if real else fx
+            np.multiply(scale / (1.0 + x), lam, out=buf)
+            np.subtract(buf, z, out=buf)
+            np.divide(lam, buf, out=buf)
+            return np.add.reduce(buf) / n
     else:
         mult = ensemble.group_mult
 

@@ -20,6 +20,7 @@ from specgap import (
 )
 from specgap import moments, sampler
 from specgap.errors import DimensionError, DomainError, SignalBelowNoise
+from specgap.model import load_omegas, save_omegas
 from specgap.sampler import resolvent_trace_samples, trial_seeds, write_trials_csv
 from specgap.solver import m_of_z
 
@@ -75,6 +76,18 @@ STREAM_GOLDEN = {
         12345: "f90c149e49e38dc57a3cd15f7848c1844becdfb859e9b7e5baf263a0e07af530",
         2**64 - 1: "acf62757e0509e38bc0119809b6aae9b897028f931812cb74d1664066d12a50d",
     },
+    # recorded while every draw still ran Theta g per group through fancy-index
+    # copies: one group whose Theta is not I, and the benchmark's identity size
+    "toeplitz_g1": {
+        0: "164bf72cc4183406cb40d65e6815e0fa9a9ff5aa3e3c7bd8ebdd36ee795ebae9",
+        12345: "78b6be1acbf3acf9ee0c80c64e84adfe7cf1ad305bd5541357392bb3c75553d5",
+        2**64 - 1: "34a29a1968d066a547276695b5c8590a7b3301fd36a1d7a6cbe0d5ee8a015614",
+    },
+    "identity_64x256": {
+        0: "75cf08a42aeca2d0e3d66bc1022c5569dfda4e3fdf3977b11f462f3a893cc0bc",
+        12345: "b634a7492d29910c5e725364196d98028ea579b35695420b07136bd42e564715",
+        2**64 - 1: "8b2cbe199ba973bc18e479d8b2d2cff56a5d34b48e7761eb24648c8bea1c1b93",
+    },
 }
 
 
@@ -83,16 +96,40 @@ def _stream_ensembles():
         "identity": build_identity(8, 32),
         "toeplitz_g3": build_exponential(8, 30, [0.2, 0.5, 0.9] * 10),
         "distinct": build_exponential(6, 12, np.linspace(0.0, 0.88, 12)),
+        "toeplitz_g1": build_exponential(8, 32, [0.6] * 32),
+        "identity_64x256": build_identity(64, 256),
     }
 
 
 def test_sample_matrix_stream_golden():
     ensembles = _stream_ensembles()
-    assert [len(e.group_thetas) for e in ensembles.values()] == [1, 3, 12]
+    assert [len(e.group_thetas) for e in ensembles.values()] == [1, 3, 12, 1, 1]
     for name, digests in STREAM_GOLDEN.items():
         for seed, digest in digests.items():
             got = hashlib.sha256(sample_matrix(ensembles[name], seed).tobytes()).hexdigest()
             assert got == digest, (name, seed)
+
+
+def test_identity_theta_flag(tmp_path):
+    ensembles = _stream_ensembles()
+    assert ensembles["identity"]._identity_theta
+    assert ensembles["identity_64x256"]._identity_theta
+    assert not ensembles["toeplitz_g1"]._identity_theta
+    assert not ensembles["toeplitz_g3"]._identity_theta
+    # I with one diagonal entry one ulp low, through a file; one ulp high would
+    # not do, since its square root rounds back to exactly I
+    N, n = 8, 32
+    omega = np.eye(N)
+    omega[3, 3] = np.nextafter(1.0, 0.0)
+    path = tmp_path / "omegas.bin"
+    save_omegas(path, np.stack([omega] * n))
+    near = from_matrices(load_omegas(path, N, n))
+    assert len(near.group_thetas) == 1 and not near._identity_theta
+    # so its draw is Theta g, where g is the identity ensemble's draw
+    g = sample_matrix(ensembles["identity"], 5)
+    drawn = sample_matrix(near, 5)
+    assert not np.array_equal(drawn, g)
+    assert np.array_equal(drawn, near.group_thetas[0] @ g)
 
 
 def test_sample_matrix_builds_one_philox_per_thread(monkeypatch, exp_small):

@@ -241,6 +241,54 @@ def test_complex_stack_golden():
             assert _density_digest(ens, workers) == COMPLEX_STACK_GOLDEN[name][1], (name, workers)
 
 
+# sha256 of single-group solves (delta, m, iterations, residual at two complex
+# points and one real one) and density curves, recorded while each sweep still
+# allocated its temporaries; a sweep writing into one buffer must reproduce them
+SINGLE_GROUP_GOLDEN = {
+    "identity": ("e20d5c563407b29795eef6a97b21e7a58e8f4b0c2922c389afcf1f9a721c29c4",
+                 "5deb3c4a35cf01e25998863bb41f244070e2b3f68edc58e26318b1bc1776be97"),
+    "toeplitz_g1": ("26362267fe354375e4860a666fa7f1aa68497e370b9e243ad747076d9243ff0f",
+                    "a765858d8d02cd5b64e5a6bef02b695573eb703f38a52f7b3ecedcb5ab56fc7f"),
+}
+
+
+def _single_group_ensembles():
+    return {
+        "identity": build_identity(16, 64),
+        "toeplitz_g1": build_exponential(8, 32, [0.6] * 32),
+    }
+
+
+def test_single_group_golden():
+    for name, ens in _single_group_ensembles().items():
+        h = hashlib.sha256()
+        for z in (1.0 + 0.1j, 2.5 + 1e-5j, -0.5):
+            sol = solve_deltas(ens, z)
+            h.update(sol.delta.tobytes())
+            h.update(repr((sol.m, sol.iterations, sol.residual)).encode())
+        assert h.hexdigest() == SINGLE_GROUP_GOLDEN[name][0], name
+        assert _density_digest(ens, 1) == SINGLE_GROUP_GOLDEN[name][1], name
+
+
+def test_single_group_density_threads_match_serial():
+    # each solve sweeps in its own buffer: threads switching between its
+    # multiply, subtract and divide must not see each other's values
+    ens = build_identity(16, 64)
+
+    def scan(workers):
+        curve = density(ens, 0.05, 3.0, 256, y=1e-2, workers=workers)
+        return curve.ys.tobytes(), curve.group_solutions.tobytes(), curve.diagnostics
+
+    serial = scan(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        threaded = [scan(2) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(t == serial for t in threaded)
+
+
 def test_monotone_in_p(exp64):
     prev = None
     for p in (1, 2, 4, 8, 16):
